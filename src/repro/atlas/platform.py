@@ -37,7 +37,7 @@ from repro.atlas.echo import (
     merge_adjacent_equal,
 )
 from repro.atlas.probe import Probe
-from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+from repro.core.engine import COLUMNAR_ENGINES, FALLBACK_ERRORS, resolve_engine
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
 from repro.netsim.cpe import eui64_iid
 from repro.netsim.isp import Isp
@@ -254,13 +254,14 @@ class AtlasPlatform:
     def probe_data(self, spec: ProbeSpec, engine: Optional[str] = None) -> ProbeData:
         """Run-length-encoded echo data plus probe metadata.
 
-        Dispatched through the analysis-engine knob: the ``"np"`` engine
-        clips packed timeline-interval arrays with searchsorted slices
-        and run-length-encodes them with vectorized window intersection
-        — bit-identical runs, identical RNG draw order — instead of the
-        per-interval Python loops of the reference path.
+        Dispatched through the analysis-engine knob: both columnar
+        engines (``"np"`` and ``"fused"``) clip packed timeline-interval
+        arrays with searchsorted slices and run-length-encode them with
+        vectorized window intersection — bit-identical runs, identical
+        RNG draw order — instead of the per-interval Python loops of the
+        reference path.
         """
-        if np is not None and resolve_engine(engine) == "np":
+        if np is not None and resolve_engine(engine) in COLUMNAR_ENGINES:
             try:
                 return self._record_collection(spec, self._probe_data_np(spec))
             except FALLBACK_ERRORS as exc:

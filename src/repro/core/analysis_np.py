@@ -43,6 +43,7 @@ from repro.atlas.echo import EchoRun
 from repro.bgp.table import RoutingTable
 from repro.core.arena import ColumnArena
 from repro.core.periodicity import CANONICAL_PERIODS, PeriodicMode
+from repro.core.sortkeys import sort_rows
 from repro.core.spatial import CplHistogram, CrossingRates
 from repro.core.timefraction import CANONICAL_GRID, YEAR
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
@@ -618,13 +619,9 @@ def inferred_plen_counts_np(
         zero_bits, prefix_cols.offsets[:-1][nonempty].astype(np.intp)
     )
 
-    order = np.lexsort((prefix_cols.value_lo, prefix_cols.value_hi, probe_of))
-    hi = prefix_cols.value_hi[order]
-    lo = prefix_cols.value_lo[order]
-    probe = probe_of[order]
-    new_value = np.ones(prefix_cols.n_runs, dtype=bool)
-    new_value[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]) | (probe[1:] != probe[:-1])
-    distinct = np.bincount(probe[new_value], minlength=prefix_cols.n_probes)[nonempty]
+    rows = sort_rows(probe_of, prefix_cols.value_hi, prefix_cols.value_lo)
+    probe = rows.column(0, np.flatnonzero(rows.breaks(0, 1, 2)))
+    distinct = np.bincount(probe, minlength=prefix_cols.n_probes)[nonempty]
 
     eligible = distinct >= min_distinct
     inferred = plen - min_zero_bits[eligible]

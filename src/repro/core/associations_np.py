@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.associations import BoxStats, Triple
+from repro.core.sortkeys import sort_rows
 
 
 def columns_from_triples(triples: Iterable[Triple]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,23 +57,13 @@ def association_durations_np(
         raise ValueError("column arrays must have equal length")
     if len(days) == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((v4_keys, days, v6_keys))
-    day_sorted = days[order]
-    v4_sorted = v4_keys[order]
-    v6_sorted = v6_keys[order]
-
+    rows = sort_rows(v6_keys, days, v4_keys)
     # A new run starts where the /64 changes or the /24 changes.
-    new_v6 = np.empty(len(days), dtype=bool)
-    new_v6[0] = True
-    new_v6[1:] = v6_sorted[1:] != v6_sorted[:-1]
-    new_run = new_v6.copy()
-    new_run[1:] |= v4_sorted[1:] != v4_sorted[:-1]
-
-    run_starts = np.flatnonzero(new_run)
+    run_starts = np.flatnonzero(rows.breaks(0, 2))
     run_ends = np.empty_like(run_starts)
     run_ends[:-1] = run_starts[1:] - 1
     run_ends[-1] = len(days) - 1
-    return day_sorted[run_ends] - day_sorted[run_starts] + 1
+    return rows.column(1, run_ends) - rows.column(1, run_starts) + 1
 
 
 def degree_count_arrays(
@@ -101,31 +92,17 @@ def _degree_count_arrays_nonempty(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct-partner and total-hit counts per ``primary`` key.
 
-    One lexsort plus adjacent-difference passes: a new *pair* starts
-    where either column changes in the sorted order, and a new *key
-    group* where the primary changes — markedly faster than the former
-    ``np.unique(..., axis=0)`` on a stacked 2-column array, which pays
-    for a structured-dtype view and a full row-wise sort.
+    One packed-key sort (:func:`repro.core.sortkeys.sort_rows`) plus
+    adjacent-difference passes: a new *key group* starts where the
+    primary changes in the sorted order, and a new *pair* wherever the
+    packed key changes at all.
     """
-    order = np.lexsort((secondary, primary))
-    primary_sorted = primary[order]
-    secondary_sorted = secondary[order]
-
-    new_key = np.empty(len(primary_sorted), dtype=bool)
-    new_key[0] = True
-    np.not_equal(primary_sorted[1:], primary_sorted[:-1], out=new_key[1:])
-    key_starts = np.flatnonzero(new_key)
-    keys = primary_sorted[key_starts]
-    hit_counts = np.diff(np.append(key_starts, len(primary_sorted)))
-
-    new_pair = new_key.copy()
-    new_pair[1:] |= secondary_sorted[1:] != secondary_sorted[:-1]
-    # Each distinct pair inherits its group from the cumulative key index,
-    # so distinct-partner counts are group sizes among the pair starts.
-    group_of_pair = np.cumsum(new_key) - 1
-    unique_counts = np.bincount(
-        group_of_pair[new_pair], minlength=len(keys)
-    )
+    rows = sort_rows(primary, secondary)
+    key_starts = np.flatnonzero(rows.breaks(0))
+    keys = rows.column(0, key_starts)
+    hit_counts = np.diff(np.append(key_starts, len(rows)))
+    # Distinct partners of a key: the pair starts inside its group.
+    unique_counts = np.add.reduceat(rows.breaks(0, 1), key_starts, dtype=np.int64)
     return keys, unique_counts, hit_counts
 
 
@@ -133,9 +110,11 @@ def _degree_counts_sorted(
     primary: np.ndarray, secondary: np.ndarray
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
     keys, unique_counts, hit_counts = degree_count_arrays(primary, secondary)
-    unique = dict(zip((int(k) for k in keys), (int(c) for c in unique_counts)))
-    hits = dict(zip((int(k) for k in keys), (int(c) for c in hit_counts)))
-    return unique, hits
+    keys_list = keys.tolist()
+    return (
+        dict(zip(keys_list, unique_counts.tolist())),
+        dict(zip(keys_list, hit_counts.tolist())),
+    )
 
 
 def v4_degree_counts_np(
@@ -155,8 +134,8 @@ def v6_degree_counts_np(v4_keys: np.ndarray, v6_keys: np.ndarray) -> Dict[int, i
         raise ValueError("column arrays must have equal length")
     if len(v4_keys) == 0:
         return {}
-    unique, _hits = _degree_counts_sorted(v6_keys, v4_keys)
-    return unique
+    keys, unique_counts, _hits = degree_count_arrays(v6_keys, v4_keys)
+    return dict(zip(keys.tolist(), unique_counts.tolist()))
 
 
 def duration_percentiles_np(

@@ -190,17 +190,18 @@ def inferred_plen_distribution_for_probes(
     """Figures 6/9 end to end: per-probe /``plen`` prefixes from the
     sanitized probes' v6 runs, then the inferred-delegation histogram.
 
-    Dispatched through the analysis-engine knob: the ``"np"`` engine
-    runs :func:`repro.core.analysis_np.inferred_plen_counts_np` over a
-    shared :class:`~repro.core.analysis_np.ProbeColumns` pack
+    Dispatched through the analysis-engine knob: both columnar engines
+    (``"np"`` and ``"fused"``) run
+    :func:`repro.core.analysis_np.inferred_plen_counts_np` over a shared
+    :class:`~repro.core.analysis_np.ProbeColumns` pack
     (``columns``, when the caller already holds one for these probes),
     bit-identical to the pure-Python composition of
     :func:`per_probe_prefixes_from_runs` + :func:`inferred_plen_distribution`.
     """
-    from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+    from repro.core.engine import COLUMNAR_ENGINES, FALLBACK_ERRORS, resolve_engine
 
     materialized = probes if isinstance(probes, Sequence) else list(probes)
-    if resolve_engine(engine) == "np":
+    if resolve_engine(engine) in COLUMNAR_ENGINES:
         try:
             from repro.core.analysis_np import ProbeColumns, inferred_plen_counts_np
 

@@ -30,6 +30,10 @@ ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
 #: to "py" when NumPy is unavailable.
 ENGINES = ("np", "py", "fused")
 
+#: The columnar engines: every layer without a fused variant of its
+#: own runs its NumPy path under either of them.
+COLUMNAR_ENGINES = ("np", "fused")
+
 #: Errors on which a NumPy fast path silently falls back to the
 #: reference (unpackable value types, out-of-range integers); genuine
 #: input errors re-raise identically from the reference path.
@@ -46,9 +50,15 @@ def resolve_engine(engine: Optional[str] = None) -> str:
         return "np" if _HAS_NUMPY else "py"
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine in ("np", "fused") and not _HAS_NUMPY:
+    if engine in COLUMNAR_ENGINES and not _HAS_NUMPY:
         return "py"
     return engine
 
 
-__all__ = ["ENGINE_ENV", "ENGINES", "FALLBACK_ERRORS", "resolve_engine"]
+__all__ = [
+    "COLUMNAR_ENGINES",
+    "ENGINES",
+    "ENGINE_ENV",
+    "FALLBACK_ERRORS",
+    "resolve_engine",
+]

@@ -41,7 +41,6 @@ from repro.store.triples import (
     TripleStoreWriter,
     build_store_from_columns,
     build_store_from_triples,
-    canonical_order,
     load_triple_store,
     normalize_columns,
     shard_of_v4,
@@ -70,7 +69,6 @@ __all__ = [
     "analyze_store",
     "build_store_from_columns",
     "build_store_from_triples",
-    "canonical_order",
     "compact_shard",
     "compact_sources",
     "compact_stores",

@@ -7,8 +7,10 @@ not the store:
 
 1. **Per-shard pass** (:func:`sort_shard_to_scratch`, fanned out via
    :func:`repro.perf.parallel.map_store_shards`): memmap one shard,
-   lexsort it ``(v6, day, v4)`` into scratch column files, and drop the
-   shard's degree partials next to them.  Because rows are sharded by
+   sort it ``(v6, day, v4)`` into scratch column files (one packed-key
+   sort, :func:`repro.core.sortkeys.sort_rows`; canonical stores are
+   already in that order and skip it), and drop the shard's degree
+   partials next to them.  Because rows are sharded by
    /24, per-/24 degree partials are *complete* (a /24 never spans
    shards) and per-/64 partials count disjoint ``(v6, v4)`` pair sets —
    both merge with a concatenate-and-sort, no re-counting.
@@ -49,6 +51,7 @@ from repro.core.associations_np import (
     degree_count_arrays,
 )
 from repro.core.delegation import TrailingZeroProfile, trailing_zero_profile_np
+from repro.core.sortkeys import sort_rows
 from repro.obs import get_logger, metric_inc, metric_observe, span
 from repro.store.triples import TripleStore
 
@@ -97,7 +100,9 @@ def sort_shard_to_scratch(store: TripleStore, index: int, scratch: str) -> dict:
     ``(v6, day, v4)`` order this pass would impose) the sort and the
     scratch copy of the run are skipped entirely — the merge reads the
     shard's own memmapped columns as the sorted run, saving a full
-    lexsort plus one store's worth of scratch writes per analysis.
+    sort plus one store's worth of scratch writes per analysis.  Other
+    stores sort through one packed key and decode each scratch column
+    from it, with no permutation gathers.
     """
     kernel_start = time.perf_counter()
     scratch_dir = Path(scratch)
@@ -106,12 +111,11 @@ def sort_shard_to_scratch(store: TripleStore, index: int, scratch: str) -> dict:
     if rows == 0:
         return {"shard": index, "rows": 0, "v4_groups": 0, "v6_groups": 0}
     if not store.canonical:
-        order = np.lexsort((shard.v4, shard.days, shard.v6))
-        _write_scratch(
-            scratch_dir, "sorted", index, "day", np.asarray(shard.days)[order]
-        )
-        _write_scratch(scratch_dir, "sorted", index, "v4", np.asarray(shard.v4)[order])
-        _write_scratch(scratch_dir, "sorted", index, "v6", np.asarray(shard.v6)[order])
+        run = sort_rows(shard.v6, shard.days, shard.v4)
+        _write_scratch(scratch_dir, "sorted", index, "day", run.column(1))
+        _write_scratch(scratch_dir, "sorted", index, "v4", run.column(2))
+        _write_scratch(scratch_dir, "sorted", index, "v6", run.column(0))
+        del run
 
     v4_keys, v4_unique, v4_hits = degree_count_arrays(
         np.asarray(shard.v4), np.asarray(shard.v6)
@@ -286,17 +290,16 @@ class StoreAnalysis:
 
     def v4_degree_dicts(self) -> Tuple[Dict[int, int], Dict[int, int]]:
         """``(unique, hits)`` dicts matching ``v4_degree_counts``."""
-        keys = [int(k) for k in self.v4_keys]
+        keys = self.v4_keys.tolist()
         return (
-            dict(zip(keys, (int(c) for c in self.v4_unique))),
-            dict(zip(keys, (int(c) for c in self.v4_hits))),
+            dict(zip(keys, self.v4_unique.tolist())),
+            dict(zip(keys, self.v4_hits.tolist())),
         )
 
     def v6_degree_dict(self) -> Dict[int, int]:
         """Full-128-bit-keyed dict matching ``v6_degree_counts``."""
-        return {
-            int(k) << 64: int(c) for k, c in zip(self.v6_keys, self.v6_unique)
-        }
+        keys = [key << 64 for key in self.v6_keys.tolist()]
+        return dict(zip(keys, self.v6_unique.tolist()))
 
     def summary(self) -> dict:
         """JSON-friendly digest (CLI output / bench payloads)."""

@@ -16,13 +16,14 @@ merge):
 2. **Compaction** (:func:`compact_stores` /
    :func:`parallel_build_store`): one pass per *output* shard gathers
    that shard's rows from every source (segments or finalized stores),
-   k-way merges them through the canonical ``(v6, day, v4)`` lexsort of
-   :func:`repro.store.triples.write_shard_columns`, and checksums the
-   sorted columns in memory.  Because the serial writer finalizes
-   through the same sort-and-write primitive, a parallel build compacts
-   to a **byte-identical** store — same :meth:`TripleStore.digest` — as
-   a serial build of the same input, which is what keeps
-   digest-addressed streaming checkpoints valid across build modes.
+   k-way merges them through the canonical ``(v6, day, v4)`` packed-key
+   sort of :func:`repro.store.triples.write_shard_columns`, and
+   checksums the sorted columns in memory.  Because the serial writer
+   finalizes through the same sort-and-write primitive, a parallel build
+   compacts to a **byte-identical** store — same
+   :meth:`TripleStore.digest` — as a serial build of the same input,
+   which is what keeps digest-addressed streaming checkpoints valid
+   across build modes.
 
 The same compaction entry point merges multiple finalized stores
 (incremental append-then-compact) and re-shards when the source and
@@ -51,6 +52,7 @@ from repro.store.triples import (
     TripleStore,
     _checksum_of_arrays,
     _shard_file,
+    _shard_groups,
     normalize_columns,
     shard_of_v4,
     write_shard_columns,
@@ -109,16 +111,8 @@ def write_segment(
     )
     scattered = {}
     if len(day_col):
-        shard_ids = shard_of_v4(v4_col, shards)
-        order = np.argsort(shard_ids, kind="stable")
-        sorted_ids = shard_ids[order]
-        present, starts = np.unique(sorted_ids, return_index=True)
-        bounds = np.append(starts, len(sorted_ids))
-        for position, shard in enumerate(present):
-            select = order[bounds[position] : bounds[position + 1]]
-            scattered[int(shard)] = (
-                day_col[select], v4_col[select], v6_col[select]
-            )
+        for shard, select in _shard_groups(v4_col, shards):
+            scattered[shard] = (day_col[select], v4_col[select], v6_col[select])
     for shard in range(shards):
         shard_days, shard_v4, shard_v6 = scattered.get(shard, empty)
         for column, array in (

@@ -44,6 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.associations import Triple
+from repro.core.sortkeys import sort_rows
 from repro.obs import get_logger, metric_inc, span
 
 _log = get_logger("store")
@@ -53,7 +54,7 @@ STORE_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: Canonical per-shard row order (lexsort key, most significant first).
+#: Canonical per-shard row order (sort key columns, most significant first).
 #: Version 2 finalizes every shard in this order, which makes the store
 #: digest a pure function of the triple multiset: serial builds,
 #: parallel segment builds and compactions of the same input all
@@ -81,21 +82,30 @@ def shard_of_v4(v4_keys: np.ndarray, shards: int) -> np.ndarray:
     addresses whose low 8 bits are always zero, so a low-bits reduction
     would send every key to shard 0 whenever ``shards`` is a power of
     two.  The top 16 bits are well mixed for any key alignment.
+
+    Indices come back in the smallest unsigned dtype that holds
+    ``shards - 1``, so the writers' stable scatter ``argsort`` runs as
+    a radix sort instead of a merge sort over ``int64``.
     """
     hashed = (v4_keys.astype(np.uint64) * _HASH_MULTIPLIER) & np.uint64(0xFFFFFFFF)
-    return ((hashed >> np.uint64(16)) % np.uint64(shards)).astype(np.int64)
+    shard = (hashed >> np.uint64(16)) % np.uint64(shards)
+    return shard.astype(np.min_scalar_type(shards - 1))
 
 
-def canonical_order(days: np.ndarray, v4: np.ndarray, v6: np.ndarray) -> np.ndarray:
-    """The canonical per-shard permutation: lexsort by ``(v6, day, v4)``.
+def _shard_groups(v4_keys: np.ndarray, shards: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(shard, row indices)`` for every shard that receives rows.
 
-    This is the same key :func:`repro.store.kernels.sort_shard_to_scratch`
-    merges by, so canonically ordered shards double as pre-sorted runs
-    for the analysis merge.  Because the key covers every column, equal
-    rows are interchangeable — any builder that ends with this sort
-    emits byte-identical shard files for the same row multiset.
+    One stable radix ``argsort`` of the narrow shard ids plus a
+    ``bincount`` for the group bounds; rows keep their input order
+    within each shard.  Shared by the serial writer and the segment
+    writers.
     """
-    return np.lexsort((v4, days, v6))
+    shard_ids = shard_of_v4(v4_keys, shards)
+    order = np.argsort(shard_ids, kind="stable")
+    bounds = np.zeros(shards + 1, dtype=np.int64)
+    np.cumsum(np.bincount(shard_ids, minlength=shards), out=bounds[1:])
+    for shard in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+        yield shard, order[bounds[shard] : bounds[shard + 1]]
 
 
 def _shard_file(directory: Path, shard: int, column: str) -> Path:
@@ -140,18 +150,22 @@ def write_shard_columns(
     finalize and segment compaction — both paths emitting the same
     bytes for the same row multiset is what makes build-mode digest
     parity structural rather than coincidental.
+
+    The rows are sorted by one packed key
+    (:func:`repro.core.sortkeys.sort_rows`), and each column is decoded
+    from the sorted key, written and hashed in turn, so only one sorted
+    column is alive next to the key.  :data:`ROW_ORDER` covers every
+    column, so the order is total and the bytes do not depend on how
+    ties are broken.
     """
-    order = canonical_order(days, v4, v6)
-    sorted_columns = {
-        "day": days[order].astype(COLUMN_DTYPES["day"], copy=False),
-        "v4": v4[order].astype(COLUMN_DTYPES["v4"], copy=False),
-        "v6": v6[order].astype(COLUMN_DTYPES["v6"], copy=False),
-    }
-    for column in COLUMNS:
-        sorted_columns[column].tofile(_shard_file(directory, shard, column))
-    return _checksum_of_arrays(
-        sorted_columns["day"], sorted_columns["v4"], sorted_columns["v6"]
-    )
+    rows = sort_rows(v6, days, v4)
+    digest = hashlib.sha256()
+    for column, index in (("day", 1), ("v4", 2), ("v6", 0)):
+        values = rows.column(index).astype(COLUMN_DTYPES[column], copy=False)
+        values.tofile(_shard_file(directory, shard, column))
+        digest.update(values)
+        del values
+    return digest.hexdigest()
 
 
 def write_store_manifest(
@@ -338,14 +352,8 @@ class TripleStoreWriter:
         self._day_min = lo if self._day_min is None else min(self._day_min, lo)
         self._day_max = hi if self._day_max is None else max(self._day_max, hi)
 
-        shard_ids = shard_of_v4(v4_col, self.shards)
-        order = np.argsort(shard_ids, kind="stable")
-        sorted_ids = shard_ids[order]
-        present, starts = np.unique(sorted_ids, return_index=True)
-        bounds = np.append(starts, len(sorted_ids))
-        for position, shard in enumerate(present):
-            select = order[bounds[position] : bounds[position + 1]]
-            self._buffer(int(shard), day_col[select], v4_col[select], v6_col[select])
+        for shard, select in _shard_groups(v4_col, self.shards):
+            self._buffer(shard, day_col[select], v4_col[select], v6_col[select])
         self.total_rows += len(day_col)
         metric_inc("store.triples_appended", value=len(day_col))
         return len(day_col)
@@ -547,7 +555,7 @@ class TripleStore:
 
         Version-2 manifests always record :data:`ROW_ORDER`; readers
         use this to treat shards as pre-sorted runs (skipping the
-        analysis-side lexsort entirely).
+        analysis-side sort entirely).
         """
         return self.manifest.get("row_order") == ROW_ORDER
 
@@ -623,8 +631,9 @@ class TripleStore:
         days = np.concatenate(parts_day)
         v4 = np.concatenate(parts_v4)
         v6 = np.concatenate(parts_v6)
-        order = np.lexsort((v6, v4, days))
-        return days[order], v4[order], v6[order]
+        rows = sort_rows(days, v4, v6)
+        del days, v4, v6
+        return rows.column(0), rows.column(1), rows.column(2)
 
 
 def load_triple_store(directory, verify: bool = False) -> Optional[TripleStore]:
@@ -726,7 +735,6 @@ __all__ = [
     "TripleStoreWriter",
     "build_store_from_columns",
     "build_store_from_triples",
-    "canonical_order",
     "load_triple_store",
     "normalize_columns",
     "shard_of_v4",

@@ -85,13 +85,16 @@ class AssociationStreamEngine:
         engine state — and every downstream artifact, including
         :meth:`state_dict` snapshots compared by value — equals
         :meth:`fold_chunk` over the same window's sorted triples
-        exactly.  The work per call is a few lexsorts plus
+        exactly.  The work per call is two packed-key sorts
+        (:func:`repro.core.sortkeys.sort_rows`) plus
         per-*unique-key* (not per-row) dictionary updates: within one
         window every /64's rows sort to the same ``(day, v4)`` sequence
         the scalar fold visits, and runs of equal ``(v6, v4)`` collapse
         to segment endpoints before touching python state.
         """
         import numpy as np
+
+        from repro.core.sortkeys import sort_rows
 
         n = len(days)
         if n != len(v4_keys) or n != len(v6_keys):
@@ -100,24 +103,18 @@ class AssociationStreamEngine:
             self._next_chunk = chunk_index + 1
         if n == 0:
             return
-        order = np.lexsort((np.asarray(v4_keys), np.asarray(days), np.asarray(v6_keys)))
-        day_sorted = np.asarray(days)[order].astype(np.int64)
-        v4_sorted = np.asarray(v4_keys)[order]
-        v6_sorted = np.asarray(v6_keys)[order]
-
-        new_v6 = np.empty(n, dtype=bool)
-        new_v6[0] = True
-        np.not_equal(v6_sorted[1:], v6_sorted[:-1], out=new_v6[1:])
-        new_seg = new_v6.copy()
-        new_seg[1:] |= v4_sorted[1:] != v4_sorted[:-1]
-
-        seg_starts = np.flatnonzero(new_seg)
+        days = np.asarray(days)
+        v4_keys = np.asarray(v4_keys)
+        v6_keys = np.asarray(v6_keys)
+        rows = sort_rows(v6_keys, days, v4_keys)
+        new_v6 = rows.breaks(0)
+        seg_starts = np.flatnonzero(rows.breaks(0, 2))
         seg_ends = np.empty_like(seg_starts)
         seg_ends[:-1] = seg_starts[1:] - 1
         seg_ends[-1] = n - 1
-        seg_v4 = v4_sorted[seg_starts]
-        seg_first = day_sorted[seg_starts]
-        seg_last = day_sorted[seg_ends]
+        seg_v4 = rows.column(2, seg_starts)
+        seg_first = rows.column(1, seg_starts).astype(np.int64)
+        seg_last = rows.column(1, seg_ends).astype(np.int64)
 
         # Group segments by /64: the first segment of each group is where
         # new_v6 held at the segment's start row.
@@ -140,7 +137,8 @@ class AssociationStreamEngine:
 
         # First/last segments need the open-run state; one iteration per
         # /64 seen this window.
-        group_v6 = v6_sorted[seg_starts[group_first_seg]]
+        group_v6 = rows.column(0, seg_starts[group_first_seg])
+        del rows
         for position, v6_packed in enumerate(group_v6.tolist()):
             key = v6_packed << 64
             first_seg = group_first_seg[position]
@@ -165,20 +163,15 @@ class AssociationStreamEngine:
 
         # Degree state: one update per distinct (v4, v6) pair and per
         # distinct v4 — again per-key, not per-row.
-        pair_order = np.lexsort((v6_sorted, v4_sorted))
-        pair_v4 = v4_sorted[pair_order]
-        pair_v6 = v6_sorted[pair_order]
-        new_pair = np.empty(n, dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (pair_v4[1:] != pair_v4[:-1]) | (pair_v6[1:] != pair_v6[:-1])
-        pair_starts = np.flatnonzero(new_pair)
+        pairs = sort_rows(v4_keys, v6_keys)
+        pair_starts = np.flatnonzero(pairs.breaks(0, 1))
         for v4_key, v6_packed in zip(
-            pair_v4[pair_starts].tolist(), pair_v6[pair_starts].tolist()
+            pairs.column(0, pair_starts).tolist(), pairs.column(1, pair_starts).tolist()
         ):
             v6_full = v6_packed << 64
             self._v4_unique.setdefault(v4_key, set()).add(v6_full)
             self._v6_partners.setdefault(v6_full, set()).add(v4_key)
-        hit_keys, hit_counts = np.unique(v4_sorted, return_counts=True)
+        hit_keys, hit_counts = np.unique(v4_keys, return_counts=True)
         for v4_key, count in zip(hit_keys.tolist(), hit_counts.tolist()):
             self._v4_hits[v4_key] += count
         self._triples_seen += n

@@ -521,3 +521,33 @@ def test_probe_columns_memoizes_packs():
     assert columns.dual_mask() is columns.dual_mask()
     # Distinct min_coverage values are distinct cache entries.
     assert columns.dual_mask(0.5) is not columns.dual_mask(0.9)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("pure-Python reference ran under the fused engine")
+
+
+def test_fused_engine_box_stats_use_the_columnar_path(monkeypatch):
+    """``engine="fused"`` must not silently run the pure-Python box stats."""
+    from repro.core import associations
+
+    rng = random.Random(17)
+    triples = [
+        (rng.randrange(90), rng.randrange(10), rng.randrange(8) << 64)
+        for _ in range(120)
+    ]
+    expected = associations.association_box_stats(triples, engine="py")
+    monkeypatch.setattr(associations, "association_durations", _refuse)
+    monkeypatch.setattr(associations, "box_stats", _refuse)
+    assert associations.association_box_stats(triples, engine="fused") == expected
+
+
+def test_fused_engine_plen_inference_uses_the_columnar_path(monkeypatch):
+    """``engine="fused"`` must not silently run the pure-Python delegation."""
+    from repro.core import delegation
+
+    probes = _random_probes(5)
+    expected = delegation.inferred_plen_distribution_for_probes(probes, engine="py")
+    monkeypatch.setattr(delegation, "per_probe_prefixes_from_runs", _refuse)
+    monkeypatch.setattr(delegation, "inferred_plen_distribution", _refuse)
+    assert delegation.inferred_plen_distribution_for_probes(probes, engine="fused") == expected

@@ -201,3 +201,16 @@ class TestEchoContent:
             ProbeSpec(probe_id=1, asn=1, subscriber_id=0, anomaly="nonsense")
         with pytest.raises(ValueError):
             ProbeSpec(probe_id=1, asn=1, subscriber_id=0, anomaly="multihomed")
+
+
+def test_fused_engine_collects_through_the_columnar_path(platform, monkeypatch):
+    """``engine="fused"`` must not silently run pure-Python collection."""
+    plat, isp, _ = platform
+    spec = ProbeSpec(probe_id=40, asn=isp.asn, subscriber_id=1)
+    expected = plat.probe_data(spec, engine="py")
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pure-Python collection ran under the fused engine")
+
+    monkeypatch.setattr(AtlasPlatform, "_probe_data_py", refuse)
+    assert plat.probe_data(spec, engine="fused") == expected

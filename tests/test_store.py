@@ -12,6 +12,7 @@ the ``repro store build|analyze|compact`` CLI trio.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -43,6 +44,7 @@ from repro.store import (
     synthetic_triple_batches,
     triple_column_batches,
     write_segment,
+    write_shard_columns,
 )
 from repro.stream import run_association_stream, run_association_stream_over_store
 from repro.stream.checkpoint import CheckpointStore
@@ -695,6 +697,74 @@ class TestAppendColumnsEdgeCases:
             writer.append_columns([1 << 16], [0], [0])
         with pytest.raises(ValueError, match="uint32"):
             writer.append_columns([0], [1 << 32], [0])
+
+
+def canonical_order(days: np.ndarray, v4: np.ndarray, v6: np.ndarray) -> np.ndarray:
+    """Oracle for the canonical shard order: stable lexsort by ``(v6, day, v4)``."""
+    return np.lexsort((v4, days, v6))
+
+
+def _wide_key_batches(seed: int = 11, rows: int = 20_000, batches: int = 2):
+    """Batches whose random full-width /64 keys force the rank path."""
+    rng = np.random.default_rng(seed)
+    for _ in range(batches):
+        yield (
+            rng.integers(0, 120, rows),
+            rng.integers(0, 1 << 24, rows, dtype=np.uint64) << np.uint64(8),
+            rng.integers(0, np.iinfo(np.uint64).max, rows, dtype=np.uint64, endpoint=True),
+        )
+
+
+class TestCanonicalOrder:
+    #: Digests recorded from the lexsort-based writer that preceded the
+    #: packed-key sort: byte-identical shards are a tested fact.
+    GOLDEN = {
+        "dense": "94449dea56352095c4b84c5c256c48b8d1894305d3cfe80d80e22c18c5b45287",
+        "default": "378d52dc47f392d8b67eef3a3ac3f7217c472a8f5c91fd7c9e05e93b5f3e7d3d",
+        "wide": "b60f4e669db084f92781c2ffe474335b9d6e1d0df260fb4cf4f8d191fd452b54",
+    }
+
+    @staticmethod
+    def _feed(kind):
+        if kind == "wide":
+            return _wide_key_batches()
+        pools = {"v4_pool": 400, "v6_pool": 3000} if kind == "dense" else {}
+        return synthetic_triple_batches(50_000, batch_rows=8192, seed=7, **pools)
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_store_digest_is_pinned(self, tmp_path, kind):
+        store = build_store_from_columns(self._feed(kind), tmp_path / kind, shards=4)
+        assert store.digest() == self.GOLDEN[kind]
+        for shard in store.iter_shards():
+            order = canonical_order(shard.days, shard.v4, shard.v6)
+            assert np.array_equal(order, np.arange(len(shard)))
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 5), st.sampled_from([0, 1, (1 << 64) - 1])
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_write_shard_columns_matches_the_oracle(self, tmp_path_factory, rows):
+        directory = tmp_path_factory.mktemp("shard")
+        days = np.array([row[0] for row in rows], dtype=np.uint16)
+        v4 = np.array([row[1] << 8 for row in rows], dtype=np.uint32)
+        v6 = np.array([row[2] for row in rows], dtype=np.uint64)
+        checksum = write_shard_columns(directory, 0, days, v4, v6)
+        order = canonical_order(days, v4, v6)
+        written = [
+            np.fromfile(directory / f"shard-0000.{column}", dtype=COLUMN_DTYPES[column])
+            for column in ("day", "v4", "v6")
+        ]
+        assert all(
+            np.array_equal(got, want[order])
+            for got, want in zip(written, (days, v4, v6))
+        )
+        digest = hashlib.sha256(b"".join(array.tobytes() for array in written))
+        assert checksum == digest.hexdigest()
 
 
 class TestShardOfV4Properties:
