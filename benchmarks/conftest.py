@@ -14,8 +14,8 @@ and per-benchmark analysis durations are recorded into the repo-root
 ``BENCH_baseline.json`` perf artifact at session end.
 
 The analyses themselves run through the engine selected by
-``$REPRO_ANALYSIS_ENGINE`` (columnar NumPy by default; see
-``repro.core.analysis_np``), and setting ``REPRO_PROFILE=1`` dumps
+``$REPRO_ANALYSIS_ENGINE`` (the fused columnar engine by default; see
+``repro.core.fused``), and setting ``REPRO_PROFILE=1`` dumps
 per-stage cProfile artifacts under ``benchmarks/results/``.
 
 Every benchmark writes its rendered artifact to

@@ -2,9 +2,8 @@
 
 Reads the JSONL history that ``scripts.bench_baseline`` appends on
 every run and prints the per-stage wall times (scenario builds, the
-per-kernel analysis stages, telemetry, streaming, the out-of-core
-store, and the end-to-end report suite under both the ``np`` and
-``fused`` engines) plus the store build/analyze throughputs (tuples/s)
+fused-engine analysis stages, telemetry, streaming, the out-of-core
+store, and the end-to-end fused report suite, serial and pooled) plus the store build/analyze throughputs (tuples/s)
 as one fixed-width table per benchmark mode (``check`` vs ``full``
 runs are never compared against each other — they run at different
 scales).
@@ -56,14 +55,15 @@ def _get(entry: dict, *path):
 
 #: Stage label -> extractor over one history entry, in display order.
 #: Extractors return seconds (float) or None when the entry predates
-#: the stage or the stage was skipped (e.g. numpy unavailable).
+#: the stage (history recorded before the analysis stages timed the
+#: fused engine carries ``np_seconds`` instead and is skipped).
 STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "build_atlas": lambda e: _get(e, "build", "atlas", "serial_seconds"),
     "build_cdn": lambda e: _get(e, "build", "cdn", "serial_seconds"),
     "cache_warm": lambda e: _get(e, "cache", "warm_seconds"),
     **{
         f"analysis_{stage}": (
-            lambda e, s=stage: _get(e, "analysis", "stages", s, "np_seconds")
+            lambda e, s=stage: _get(e, "analysis", "stages", s, "fused_seconds")
         )
         for stage in ("table1", "figure1", "figure5", "table2", "periodicity")
     },
@@ -71,7 +71,6 @@ STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "streaming": lambda e: _get(e, "streaming", "seconds"),
     "store_build": lambda e: _get(e, "store", "build_seconds"),
     "store_analyze": lambda e: _get(e, "store", "analyze_seconds"),
-    "report_np": lambda e: _get(e, "report", "np_seconds"),
     "report_fused": lambda e: _get(e, "report", "fused_seconds"),
     "report_fused_workers": lambda e: _get(e, "report", "fused_workers_seconds"),
 }

@@ -30,6 +30,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.atlas.echo import (
     TEST_ADDRESS,
     EchoRecord,
@@ -37,19 +39,12 @@ from repro.atlas.echo import (
     merge_adjacent_equal,
 )
 from repro.atlas.probe import Probe
-from repro.core.engine import COLUMNAR_ENGINES, FALLBACK_ERRORS, resolve_engine
+from repro.core.engine import resolve_engine
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
 from repro.netsim.cpe import eui64_iid
 from repro.netsim.isp import Isp
 from repro.netsim.sim import SubscriberTimeline
-from repro.obs import get_logger, metric_inc, telemetry_enabled
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
-
-_log = get_logger("atlas.platform")
+from repro.obs import metric_inc, telemetry_enabled
 
 _M64 = (1 << 64) - 1
 
@@ -254,22 +249,15 @@ class AtlasPlatform:
     def probe_data(self, spec: ProbeSpec, engine: Optional[str] = None) -> ProbeData:
         """Run-length-encoded echo data plus probe metadata.
 
-        Dispatched through the analysis-engine knob: both columnar
-        engines (``"np"`` and ``"fused"``) clip packed timeline-interval
-        arrays with searchsorted slices and run-length-encode them with
-        vectorized window intersection — bit-identical runs, identical
-        RNG draw order — instead of the per-interval Python loops of the
+        Dispatched through the analysis-engine knob: the ``"fused"``
+        engine clips packed timeline-interval arrays with searchsorted
+        slices and run-length-encodes them with vectorized window
+        intersection — bit-identical runs, identical RNG draw order —
+        instead of the per-interval Python loops of the ``"py"``
         reference path.
         """
-        if np is not None and resolve_engine(engine) in COLUMNAR_ENGINES:
-            try:
-                return self._record_collection(spec, self._probe_data_np(spec))
-            except FALLBACK_ERRORS as exc:
-                metric_inc("collection.engine_fallbacks", stage="probe_data")
-                _log.debug(
-                    "np probe_data fell back to python",
-                    extra={"probe": spec.probe_id, "error": type(exc).__name__},
-                )
+        if resolve_engine(engine) == "fused":
+            return self._record_collection(spec, self._probe_data_np(spec))
         return self._record_collection(spec, self._probe_data_py(spec))
 
     def _record_collection(self, spec: ProbeSpec, data: ProbeData) -> ProbeData:
@@ -349,8 +337,6 @@ class AtlasPlatform:
         path.  Dual-stack gating matches :meth:`probe_data`: a spec on a
         v4-only subscriber line contributes an empty IPv6 slice.
         """
-        if np is None:
-            raise RuntimeError("run_columns requires numpy")
         from repro.core.analysis_np import RunColumns
 
         per_probe: List[Tuple[np.ndarray, ...]] = []
@@ -627,7 +613,7 @@ def _pack_segments(
     return starts, ends, value_hi, value_lo
 
 
-_EMPTY_RUN_ARRAYS: Tuple[np.ndarray, ...] = () if np is None else (
+_EMPTY_RUN_ARRAYS: Tuple[np.ndarray, ...] = (
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.int64),

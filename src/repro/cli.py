@@ -16,14 +16,14 @@ Commands
     pipeline's echo-record JSONL.
 ``stream``
     Run the chunked, checkpointable streaming analysis (bit-identical
-    to ``report``'s batch np artifacts) over a built scenario or an
+    to ``report``'s batch fused artifacts) over a built scenario or an
     exported run-stream file, optionally resuming from a checkpoint.
 ``store build`` / ``store analyze`` / ``store compact``
     Build a sharded memory-mapped triple store (from a CSV, a synthetic
     feed, or a CDN simulation — ``--workers N`` fans the build out to
     parallel segment writers, byte-identical to the serial build),
     analyze it shard-by-shard out-of-core (artifacts bit-identical to
-    the in-RAM ``engine="np"`` path), and merge finalized stores via
+    the in-RAM ``engine="fused"`` path), and merge finalized stores via
     k-way compaction (incremental append-then-compact).
 """
 
@@ -35,11 +35,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.atlas.convert import convert_results
-from repro.core.report import render_table, table1_row, table2_row
+from repro.core.engine import ENGINES, resolve_engine
+from repro.core.report import render_table
 from repro.io.records import write_association_csv, write_echo_records, write_echo_runs
 from repro.obs import configure_logging, dump_telemetry, enable_telemetry, span
 from repro.perf.cache import iter_cache_stats
 from repro.workloads import (
+    analyze_atlas_scenario,
     build_atlas_scenario,
     build_cdn_scenario,
     periodicity_for_scenario,
@@ -85,11 +87,11 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("np", "py", "fused"), default=None,
-                        help="analysis kernels: columnar numpy ('np'), the "
-                        "pure-Python reference ('py'), or the single-pass "
-                        "fused engine ('fused'); all are bit-identical "
-                        "(default: $REPRO_ANALYSIS_ENGINE, else np)")
+    parser.add_argument("--engine", choices=ENGINES, default=None,
+                        help="analysis kernels: the single-pass columnar "
+                        "engine ('fused') or the pure-Python reference "
+                        "('py'); both are bit-identical "
+                        "(default: $REPRO_ANALYSIS_ENGINE, else fused)")
 
 
 def _cache_flag(args: argparse.Namespace):
@@ -161,33 +163,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=_cache_flag(args),
     )
-    table1_rows = []
-    table2_rows = []
-    table1_by_name = {}
-    table2_by_name = {}
-    with span("analysis/report", networks=len(scenario.isps)):
-        for name, isp in scenario.isps.items():
-            probes = scenario.probes_in(isp.asn)
-            columns = scenario.analysis_columns(isp.asn, engine=args.engine)
-            with span("analysis/table1", network=name):
-                row = table1_row(
-                    name, isp.asn, isp.config.country, probes,
-                    engine=args.engine, columns=columns,
-                )
-            table1_by_name[name] = row
-            table1_rows.append(
-                [row.name, row.asn, row.all_probes, row.all_v4_changes, row.ds_probes,
-                 f"{row.ds_v4_changes} ({row.ds_v4_share_pct:.0f}%)", row.ds_v6_changes]
-            )
-            with span("analysis/table2", network=name):
-                rates = table2_row(
-                    probes, scenario.table, engine=args.engine, columns=columns
-                )
-            table2_by_name[name] = rates
-            table2_rows.append(
-                [name, f"{rates.diff_slash24_pct:.0f}%", f"{rates.v4_diff_bgp_pct:.0f}%",
-                 f"{rates.v6_diff_bgp_pct:.0f}%"]
-            )
+    analysis = analyze_atlas_scenario(scenario, engine=args.engine, workers=1)
+    table1_by_name = analysis.table1
+    table2_by_name = analysis.table2
+    table1_rows = [
+        [row.name, row.asn, row.all_probes, row.all_v4_changes, row.ds_probes,
+         f"{row.ds_v4_changes} ({row.ds_v4_share_pct:.0f}%)", row.ds_v6_changes]
+        for row in table1_by_name.values()
+    ]
+    table2_rows = [
+        [name, f"{rates.diff_slash24_pct:.0f}%", f"{rates.v4_diff_bgp_pct:.0f}%",
+         f"{rates.v6_diff_bgp_pct:.0f}%"]
+        for name, rates in table2_by_name.items()
+    ]
     v4_periods, v6_periods = periodicity_for_scenario(scenario, engine=args.engine)
     with span("report/render"):
         print(render_table(
@@ -219,11 +207,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         else:
             print("Periodic renumbering: none detected")
     if args.json:
-        from repro.core.engine import resolve_engine
         from repro.serve.wire import report_payload, write_json
 
         payload = report_payload(
-            resolve_engine(args.engine),
+            analysis.engine,
             table1_by_name,
             table2_by_name,
             v4_periods,
@@ -330,7 +317,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     from repro.core.changes import sandwiched_durations, v6_runs_to_prefix_runs
     from repro.core.periodicity import detect_periods
-    from repro.core.report import figure1_series, resolve_engine
+    from repro.core.report import figure1_series
     from repro.core.timefraction import CANONICAL_LABELS
     from repro.io.records import read_echo_runs
 
@@ -341,23 +328,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             by_probe[run.probe_id][run.family].append(run)
 
     durations = {4: [], 6: []}
-    if engine in ("np", "fused"):
-        try:
-            from repro.core import analysis_np as anp
+    if engine == "fused":
+        from repro.core import analysis_np as anp
 
-            families = list(by_probe.values())
-            v4_cols = anp.columns_from_runs([fam[4] for fam in families])
-            durations[4] = anp.duration_table(v4_cols).hours().astype(float).tolist()
-            v6_cols = anp.columns_from_runs([fam[6] for fam in families if fam[6]])
-            durations[6] = (
-                anp.duration_table(anp.rekey_v6_runs(v6_cols))
-                .hours()
-                .astype(float)
-                .tolist()
-            )
-        except (TypeError, ValueError, OverflowError):
-            engine = "py"
-    if engine == "py":
+        families = list(by_probe.values())
+        v4_cols = anp.columns_from_runs([fam[4] for fam in families])
+        durations[4] = anp.duration_table(v4_cols).hours().astype(float).tolist()
+        v6_cols = anp.columns_from_runs([fam[6] for fam in families if fam[6]])
+        durations[6] = (
+            anp.duration_table(anp.rekey_v6_runs(v6_cols)).hours().astype(float).tolist()
+        )
+    else:
         for families in by_probe.values():
             for duration in sandwiched_durations(families[4]):
                 durations[4].append(float(duration.hours))
@@ -382,7 +363,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"{label}: n={len(sample)} total={series.total_years:.1f}y "
             f"cumulative-TTF {summary}"
         )
-        if engine in ("np", "fused"):
+        if engine == "fused":
             from repro.core.analysis_np import detect_periods_np
 
             modes = detect_periods_np(sample)

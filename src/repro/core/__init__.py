@@ -24,8 +24,9 @@ Module                 Paper section
 ``targetgen``          2.3/6 — target-generation baselines + informed
 ``anonymize``          6 — truncation anonymization audit
 ``associations_np``    vectorized variant of ``associations``
-``analysis_np``        columnar engine behind ``changes``/``timefraction``/
-                       ``periodicity``/``spatial`` (``engine="np"``)
+``analysis_np``        NumPy kernels mirroring ``changes``/``timefraction``/
+                       ``periodicity``/``spatial`` (built into ``fused``)
+``fused``              single-pass columnar engine (``engine="fused"``)
 ``report``             rendering of the paper's tables
 =====================  =====================================================
 """

@@ -118,29 +118,22 @@ def association_box_stats(records: Iterable[Triple], engine: Optional[str] = Non
     """Five-number summary of the association durations of ``records``.
 
     The Figure 3 composition (:func:`association_durations` piped into
-    :func:`box_stats`), dispatched through the analysis-engine knob: both
-    columnar engines (``"np"`` and ``"fused"``) run the columnar
+    :func:`box_stats`), dispatched through the analysis-engine knob: the
+    ``"fused"`` engine runs the columnar
     :func:`repro.core.associations_np.association_durations_np` +
     ``box_stats_np`` pair, bit-identical to the pure-Python reference.
     """
-    from repro.core.engine import COLUMNAR_ENGINES, FALLBACK_ERRORS, resolve_engine
+    from repro.core.engine import resolve_engine
 
     materialized = records if isinstance(records, Sequence) else list(records)
-    if resolve_engine(engine) in COLUMNAR_ENGINES:
-        try:
-            from repro.core.associations_np import (
-                association_durations_np,
-                box_stats_np,
-                columns_from_triples,
-            )
+    if resolve_engine(engine) == "fused":
+        from repro.core.associations_np import (
+            association_durations_np,
+            box_stats_np,
+            columns_from_triples,
+        )
 
-            return box_stats_np(
-                association_durations_np(*columns_from_triples(materialized))
-            )
-        except ImportError:  # pragma: no cover - numpy probe passed already
-            pass
-        except FALLBACK_ERRORS:
-            pass
+        return box_stats_np(association_durations_np(*columns_from_triples(materialized)))
     return box_stats(association_durations(materialized))
 
 

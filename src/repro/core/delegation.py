@@ -190,39 +190,33 @@ def inferred_plen_distribution_for_probes(
     """Figures 6/9 end to end: per-probe /``plen`` prefixes from the
     sanitized probes' v6 runs, then the inferred-delegation histogram.
 
-    Dispatched through the analysis-engine knob: both columnar engines
-    (``"np"`` and ``"fused"``) run
-    :func:`repro.core.analysis_np.inferred_plen_counts_np` over a shared
-    :class:`~repro.core.analysis_np.ProbeColumns` pack
+    Dispatched through the analysis-engine knob: the ``"fused"`` engine
+    runs :func:`repro.core.analysis_np.inferred_plen_counts_np` over a
+    shared :class:`~repro.core.analysis_np.ProbeColumns` pack
     (``columns``, when the caller already holds one for these probes),
     bit-identical to the pure-Python composition of
     :func:`per_probe_prefixes_from_runs` + :func:`inferred_plen_distribution`.
+    Only /64 prefixes are supported: any other ``plen`` raises
+    :class:`ValueError` (the reference rejects them as well).
     """
-    from repro.core.engine import COLUMNAR_ENGINES, FALLBACK_ERRORS, resolve_engine
+    from repro.core.engine import resolve_engine
 
     materialized = probes if isinstance(probes, Sequence) else list(probes)
-    if resolve_engine(engine) in COLUMNAR_ENGINES:
-        try:
-            from repro.core.analysis_np import ProbeColumns, inferred_plen_counts_np
+    if resolve_engine(engine) == "fused":
+        from repro.core.analysis_np import ProbeColumns, inferred_plen_counts_np
 
-            if plen != 64:
-                # The reference rejects non-/64 prefixes; let it raise.
-                raise ValueError(f"expected /64 prefixes, got /{plen}")
-            if columns is None or columns.plen != plen:
-                columns = ProbeColumns(materialized, plen=plen)
-            eligible, counts = inferred_plen_counts_np(
-                columns.v6_prefix(), plen=plen, min_distinct=min_distinct
-            )
-            if not eligible:
-                return {}
-            return {
-                length: 100.0 * count / eligible
-                for length, count in sorted(counts.items())
-            }
-        except ImportError:  # pragma: no cover - numpy probe passed already
-            pass
-        except FALLBACK_ERRORS:
-            pass
+        if plen != 64:
+            raise ValueError(f"expected /64 prefixes, got /{plen}")
+        if columns is None or columns.plen != plen:
+            columns = ProbeColumns(materialized, plen=plen)
+        eligible, counts = inferred_plen_counts_np(
+            columns.v6_prefix(), plen=plen, min_distinct=min_distinct
+        )
+        if not eligible:
+            return {}
+        return {
+            length: 100.0 * count / eligible for length, count in sorted(counts.items())
+        }
     return inferred_plen_distribution(
         per_probe_prefixes_from_runs(materialized, plen), min_distinct
     )

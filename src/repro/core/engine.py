@@ -2,11 +2,17 @@
 
 Both the report layer (:mod:`repro.core.report`) and the collection
 layer (:mod:`repro.atlas.platform`) offer two bit-identical
-implementations of their hot paths: a pure-Python reference and a
-columnar NumPy fast path.  This module owns the single knob selecting
-between them, so layers below the report can resolve the engine without
-importing it (the report layer imports the sanitization pipeline, which
-imports the platform — a cycle if the knob lived in ``report``).
+implementations of their hot paths: the columnar fast path (the fused
+single-pass engine of :mod:`repro.core.fused` and the NumPy kernels it
+is built from) and the pure-Python reference oracle.  This module owns
+the single knob selecting between them, so layers below the report can
+resolve the engine without importing it (the report layer imports the
+sanitization pipeline, which imports the platform — a cycle if the knob
+lived in ``report``).
+
+A fast path that raises does not fall back to the reference: the error
+propagates, so a defect in the columnar engine can never hide behind a
+silently slower correct answer.
 """
 
 from __future__ import annotations
@@ -14,51 +20,26 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-try:
-    import numpy  # noqa: F401  (availability probe only)
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _HAS_NUMPY = False
-
-#: Environment override for the default analysis engine
-#: ("np", "py" or "fused").
+#: Environment override for the default analysis engine ("fused" or "py").
 ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
 
-#: Engines accepted by :func:`resolve_engine`.  "fused" is the
-#: single-pass engine of :mod:`repro.core.fused`; like "np" it degrades
-#: to "py" when NumPy is unavailable.
-ENGINES = ("np", "py", "fused")
-
-#: The columnar engines: every layer without a fused variant of its
-#: own runs its NumPy path under either of them.
-COLUMNAR_ENGINES = ("np", "fused")
-
-#: Errors on which a NumPy fast path silently falls back to the
-#: reference (unpackable value types, out-of-range integers); genuine
-#: input errors re-raise identically from the reference path.
-FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
+#: Engines accepted by :func:`resolve_engine`: the columnar "fused"
+#: engine (the default) and the pure-Python "py" reference oracle.
+ENGINES = ("fused", "py")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Effective analysis engine: explicit value, else the environment,
-    else ``"np"`` when NumPy is available.  The columnar engines
-    (``"np"``, ``"fused"``) degrade to ``"py"`` without NumPy."""
+    else ``"fused"``.  Anything outside :data:`ENGINES` raises."""
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or None
-    if engine is None:
-        return "np" if _HAS_NUMPY else "py"
+        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or "fused"
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine in COLUMNAR_ENGINES and not _HAS_NUMPY:
-        return "py"
     return engine
 
 
 __all__ = [
-    "COLUMNAR_ENGINES",
     "ENGINES",
     "ENGINE_ENV",
-    "FALLBACK_ERRORS",
     "resolve_engine",
 ]

@@ -1,12 +1,11 @@
 """Fused single-pass analysis engine over buffer-backed run packs.
 
-The per-kernel columnar engine (:mod:`repro.core.analysis_np`) re-walks
-the same CSR run columns once per artifact — change tables, duration
-tables, dual-stack masks, periodicity reductions and crossing lookups
-each traverse the pack independently, so end-to-end report wall time is
-bounded by redundant memory traffic.  This module fuses them: **one**
-cache-friendly traversal per address family computes every per-probe
-intermediate at once —
+The NumPy kernels of :mod:`repro.core.analysis_np` each walk the CSR
+run columns once — change tables, duration tables, dual-stack masks,
+periodicity reductions and crossing lookups — so composing them per
+artifact would bound report wall time by redundant memory traffic.
+This module fuses them: **one** cache-friendly traversal per address
+family computes every per-probe intermediate at once —
 
 - change events *and* their boundary gaps (the run-gap array is shared
   between the change table and the sandwiched-duration test),
@@ -24,10 +23,10 @@ is bit-identical to re-analyzing each AS's probes separately because
 every artifact is per-probe local and masking a probe-major pack
 preserves per-AS relative order.
 
-Dispatched as ``engine="fused"`` through :mod:`repro.core.engine`; the
-parity contract with ``"np"`` and ``"py"`` is enforced by
-``repro.perf.verify.fused_engine_diffs`` and the randomized tests in
-``tests/test_fused.py``.
+Dispatched as ``engine="fused"`` (the default) through
+:mod:`repro.core.engine`; the parity contract with the ``"py"``
+reference is enforced by ``repro.perf.verify.fused_engine_diffs`` and
+the randomized tests in ``tests/test_fused.py``.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ import numpy as np
 from repro.bgp.table import RoutingTable
 from repro.core import analysis_np as anp
 from repro.core.periodicity import CANONICAL_PERIODS
-from repro.core.report import AsDurations, Figure1Series, Table1Row
+from repro.core.report import AsDurations, Figure1Series, Table1Row, figure1_series
 from repro.core.spatial import CplHistogram, CrossingRates
-from repro.core.timefraction import CANONICAL_GRID
 from repro.obs import metric_inc, span
 
 
@@ -80,8 +78,7 @@ class FusedProbeStats:
 
         The routing table's interval indexes are built once per table
         (cached on the stats), then every change of every AS is matched
-        in one vectorized lookup — the per-kernel engine rebuilds the
-        index per AS.
+        in one vectorized lookup instead of one index build per AS.
         """
         cached = self._crossings
         if cached is not None and cached[0] is table:
@@ -139,8 +136,8 @@ def _family_pass(
 ) -> Tuple[np.ndarray, anp.ChangeColumns, anp.DurationColumns]:
     """One traversal over a packed family: change counts, the change
     table and the exact sandwiched durations share a single run-gap
-    array and one pair of first/last-run masks (the per-kernel engine
-    recomputes each of these per artifact)."""
+    array and one pair of first/last-run masks, computed once for all
+    three."""
     counts = np.diff(cols.offsets)
     change_counts = np.maximum(counts - 1, 0)
     n = cols.n_runs
@@ -279,18 +276,6 @@ def as_durations_from_stats(
     )
 
 
-def _series(label: str, durations: np.ndarray) -> Figure1Series:
-    """Eq. 1 cumulative-TTF curve on the canonical grid (np kernels)."""
-    xs, ys = anp.cumulative_ttf_columns(durations)
-    return Figure1Series(
-        label=label,
-        total_years=anp.total_duration_years_np(durations),
-        grid_values=tuple(
-            float(v) for v in anp.evaluate_cdf_columns(xs, ys, CANONICAL_GRID)
-        ),
-    )
-
-
 def figure1_from_stats(
     stats: FusedProbeStats, name: str, sel: Optional[np.ndarray] = None
 ) -> Dict[str, Figure1Series]:
@@ -300,11 +285,15 @@ def figure1_from_stats(
     in6 = sel[stats.v6_durations.probe_index]
     dual = stats.v4_duration_dual
     return {
-        "v4_nds": _series(
-            f"{name} IPv4 non-dual-stack", stats.v4_duration_hours[in4 & ~dual]
+        "v4_nds": figure1_series(
+            f"{name} IPv4 non-dual-stack",
+            stats.v4_duration_hours[in4 & ~dual],
+            engine="fused",
         ),
-        "v4_ds": _series(f"{name} IPv4 dual-stack", stats.v4_duration_hours[in4 & dual]),
-        "v6": _series(f"{name} IPv6", stats.v6_duration_hours[in6]),
+        "v4_ds": figure1_series(
+            f"{name} IPv4 dual-stack", stats.v4_duration_hours[in4 & dual], engine="fused"
+        ),
+        "v6": figure1_series(f"{name} IPv6", stats.v6_duration_hours[in6], engine="fused"),
     }
 
 

@@ -12,18 +12,19 @@ observable).
 
 The same contract applies to the analysis engines:
 :func:`analysis_engine_diffs` compares every report-layer artifact
-(Table 1/2, Figures 1/5, duration populations) computed by the columnar
-NumPy engine against the pure-Python reference, field by field — and
+(Table 1/2, Figures 1/5, duration populations) computed by the fused
+columnar engine against the pure-Python reference, field by field — and
 :func:`streaming_replay_diffs` holds the streaming layer to it too:
 chunk-by-chunk replay (any chunk size, with or without a mid-stream
-checkpoint/restore) must be bit-identical to the batch np report.
+checkpoint/restore) must be bit-identical to the batch fused report.
 :func:`store_diffs` extends the contract to the out-of-core sharded
-memmap store: shard-by-shard analysis must match the in-RAM np path
-artifact for artifact, at every shard count.  :func:`fused_engine_diffs`
-holds the fused single-pass engine (:mod:`repro.core.fused`) to the
-same bar: ``engine="fused"`` must be bit-identical to both ``"np"`` and
-``"py"`` across every report artifact, including after an arena
-save/memmap round-trip of the buffer-backed pack.
+memmap store: shard-by-shard analysis must match the in-RAM columnar
+path artifact for artifact, at every shard count.
+:func:`fused_engine_diffs` holds the fused single-pass engine
+(:mod:`repro.core.fused`) to the same bar at the scenario level:
+``engine="fused"`` must be bit-identical to ``"py"`` across every
+report artifact, including after an arena save/memmap round-trip of
+the buffer-backed pack.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def cdn_scenario_diffs(a: CdnScenario, b: CdnScenario) -> List[str]:
 
 
 def analysis_engine_diffs(probes: Sequence, table=None, triples=None) -> List[str]:
-    """Artifact-by-artifact py-vs-np engine differences ([] if equal).
+    """Artifact-by-artifact py-vs-fused engine differences ([] if equal).
 
     Runs every report-layer entry point over ``probes`` under both
     engines and names each artifact that diverges.  ``table`` (a
@@ -141,15 +142,13 @@ def analysis_engine_diffs(probes: Sequence, table=None, triples=None) -> List[st
         )
     diffs: List[str] = []
     for label, compute in artifacts:
-        reference = compute("py")
-        columnar = compute("np")
-        if reference != columnar:
-            diffs.append(f"{label}: np engine diverges from py reference")
+        if compute("fused") != compute("py"):
+            diffs.append(f"{label}: fused engine diverges from py reference")
     return diffs
 
 
 def assert_analysis_engines_equal(probes: Sequence, table=None, triples=None) -> None:
-    """Raise AssertionError naming every py-vs-np diverging artifact."""
+    """Raise AssertionError naming every py-vs-fused diverging artifact."""
     diffs = analysis_engine_diffs(probes, table, triples)
     if diffs:
         raise AssertionError("analysis engines differ: " + "; ".join(diffs))
@@ -169,8 +168,8 @@ def fused_engine_diffs(
 
     1. **Scenario level** — ``engine="fused"`` must reproduce every
        ``analyze_atlas_scenario`` artifact and the periodicity result of
-       both ``"np"`` and ``"py"`` bit-identically (a small scenario is
-       built when none is supplied).
+       ``"py"`` bit-identically (a small scenario is built when none is
+       supplied).
     2. **Report-entry level** — each report entry point called with
        ``engine="fused"`` over the scenario's probes must match the
        ``"py"`` reference.
@@ -190,22 +189,17 @@ def fused_engine_diffs(
         scenario = build_atlas_scenario(
             probes_per_as=probes_per_as, years=years, seed=seed, cache=False
         )
-    results = {}
-    for engine in ("py", "np", "fused"):
-        analysis = analyze_atlas_scenario(scenario, engine=engine)
-        periods = periodicity_for_scenario(
-            scenario, min_probes=min_probes, engine=engine
-        )
-        results[engine] = (analysis, periods)
+    fused_analysis, py_analysis = (
+        analyze_atlas_scenario(scenario, engine=engine) for engine in ("fused", "py")
+    )
     diffs: List[str] = []
-    fused_analysis, fused_periods = results["fused"]
-    for other in ("np", "py"):
-        other_analysis, other_periods = results[other]
-        for artifact in ("table1", "table2", "figure1", "figure5"):
-            if getattr(fused_analysis, artifact) != getattr(other_analysis, artifact):
-                diffs.append(f"{artifact}: fused diverges from {other}")
-        if fused_periods != other_periods:
-            diffs.append(f"periodicity: fused diverges from {other}")
+    for artifact in ("table1", "table2", "figure1", "figure5"):
+        if getattr(fused_analysis, artifact) != getattr(py_analysis, artifact):
+            diffs.append(f"{artifact}: fused diverges from py")
+    if periodicity_for_scenario(
+        scenario, min_probes=min_probes, engine="fused"
+    ) != periodicity_for_scenario(scenario, min_probes=min_probes, engine="py"):
+        diffs.append("periodicity: fused diverges from py")
 
     probes = scenario.probes
     entry_points = [
@@ -235,17 +229,12 @@ def fused_engine_diffs(
             diffs.append(f"{label}: fused entry point diverges from py reference")
 
     if arena_dir is not None:
-        try:
-            from pathlib import Path
+        from pathlib import Path
 
-            from repro.core.analysis_np import ProbeColumns
-            from repro.core.fused import fused_analysis_artifacts
-        except ImportError:
-            return diffs
-        columns = scenario.analysis_columns(None, engine="fused")
-        if columns is None:
-            diffs.append("arena: no columnar pack available for the round-trip")
-            return diffs
+        from repro.core.analysis_np import ProbeColumns
+        from repro.core.fused import fused_analysis_artifacts
+
+        columns = scenario.analysis_columns(None)
         groups = [
             (name, isp.asn, isp.config.country)
             for name, isp in scenario.isps.items()
@@ -288,9 +277,9 @@ def _streaming_result_diffs(result, batch, periods, label: str) -> List[str]:
     analysis = result.analysis
     for artifact in ("table1", "table2", "figure1", "figure5"):
         if getattr(analysis, artifact) != getattr(batch, artifact):
-            diffs.append(f"{label}: {artifact} diverges from batch np report")
+            diffs.append(f"{label}: {artifact} diverges from batch fused report")
     if (result.v4_periods, result.v6_periods) != periods:
-        diffs.append(f"{label}: periodicity diverges from batch np report")
+        diffs.append(f"{label}: periodicity diverges from batch fused report")
     return diffs
 
 
@@ -304,7 +293,7 @@ def streaming_replay_diffs(
 
     The replay-parity contract: streaming ``scenario`` chunk-by-chunk
     (each size in ``chunk_hours``) must reproduce the batch
-    ``engine="np"`` artifacts bit-identically.  When ``checkpoint_dir``
+    ``engine="fused"`` artifacts bit-identically.  When ``checkpoint_dir``
     is given, a kill/checkpoint/resume pass (stopped halfway, resumed
     from its persisted state) is verified too.
     """
@@ -314,8 +303,8 @@ def streaming_replay_diffs(
         stream_analyze_atlas_scenario,
     )
 
-    batch = analyze_atlas_scenario(scenario, engine="np")
-    periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="np")
+    batch = analyze_atlas_scenario(scenario, engine="fused")
+    periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="fused")
     diffs: List[str] = []
     for hours in chunk_hours:
         result = stream_analyze_atlas_scenario(
@@ -375,7 +364,7 @@ def store_diffs(
     The store-parity contract: building a sharded memmap store from
     ``triples`` and analyzing it shard-by-shard
     (:func:`repro.store.analyze_store`) must reproduce every in-RAM
-    ``engine="np"`` Section-5 artifact — duration multiset and box
+    ``engine="fused"`` Section-5 artifact — duration multiset and box
     stats, both degree structures, degree-one fraction, the Figure-7
     trailing-zero profile — and the store-driven streaming pass must
     match the in-memory chunked stream.  Each shard count in ``shards``

@@ -3,7 +3,7 @@
 The serving layer and the CLI export the same artifact payloads, so the
 serialization rules live here once: dataclasses become objects keyed by
 field name, address/prefix types become their canonical string form, and
-NumPy scalars (which leak out of the columnar engines) collapse to plain
+NumPy scalars (which leak out of the fused engine) collapse to plain
 Python numbers.  Everything the helpers emit round-trips through
 ``json.dumps`` untouched.
 """

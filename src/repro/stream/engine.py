@@ -7,7 +7,7 @@ merged IPv6 coverage intervals, and per-network accumulators (duration
 multisets, periodicity counters, CPL tallies, crossing counts).  Because
 every batch artifact is a function of order-independent multisets and
 exact integral-float sums, folding chunk-by-chunk reproduces the batch
-``engine="np"`` report *bit-identically* — any chunk size, with or
+``engine="fused"`` report *bit-identically* — any chunk size, with or
 without a checkpoint/restore in the middle (the replay-parity tests and
 :func:`repro.perf.verify.streaming_replay_diffs` enforce this).
 
@@ -40,18 +40,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core import analysis_np as _anp
 from repro.core.periodicity import CANONICAL_PERIODS
 from repro.core.report import Table1Row, figure1_series
 from repro.core.spatial import CplHistogram, CrossingRates
 from repro.obs import get_logger, metric_inc, metric_observe, span
 from repro.stream.chunks import RunChunk, StreamManifest
-
-try:
-    import numpy as np
-    from repro.core import analysis_np as _anp
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
-    _anp = None
 
 _log = get_logger("stream.engine")
 
@@ -124,8 +120,6 @@ class AtlasStreamEngine:
         candidate_periods: Sequence[float] = CANONICAL_PERIODS,
         min_coverage: float = 0.9,
     ) -> None:
-        if _anp is None:  # pragma: no cover - numpy is a baked-in dependency
-            raise RuntimeError("the streaming engine requires NumPy")
         if tolerance < 0:
             raise ValueError("tolerance must be non-negative")
         self.manifest = manifest
@@ -515,15 +509,17 @@ class AtlasStreamEngine:
                     "v4_nds": figure1_series(
                         f"{info.name} IPv4 non-dual-stack",
                         _expand(durations["v4_nds"]),
-                        engine="np",
+                        engine="fused",
                     ),
                     "v4_ds": figure1_series(
                         f"{info.name} IPv4 dual-stack",
                         _expand(durations["v4_ds"]),
-                        engine="np",
+                        engine="fused",
                     ),
                     "v6": figure1_series(
-                        f"{info.name} IPv6", _expand(durations["v6"]), engine="np"
+                        f"{info.name} IPv6",
+                        _expand(durations["v6"]),
+                        engine="fused",
                     ),
                 }
                 figure5[info.name] = CplHistogram(
@@ -537,7 +533,7 @@ class AtlasStreamEngine:
                 if period is not None:
                     v6_periods[info.name] = period
             analysis = AtlasAnalysis(
-                engine="np",
+                engine="fused",
                 table1=table1,
                 table2=table2,
                 figure1=figure1,

@@ -11,10 +11,8 @@ Three entry points:
   RUM association dataset for the Section 4/5.3 analyses.
 * :func:`analyze_atlas_scenario` — run the full Section 3/5 analysis
   stack (Table 1/2, Figures 1/5) over a built Atlas scenario, through
-  the pure-Python reference kernels, the per-kernel columnar NumPy
-  engine, or the fused single-pass engine
-  (``engine="py"|"np"|"fused"``, see :mod:`repro.core.analysis_np` and
-  :mod:`repro.core.fused`).
+  the fused single-pass columnar engine or the pure-Python reference
+  kernels (``engine="fused"|"py"``, see :mod:`repro.core.fused`).
 
 Both are deterministic in their ``seed``, *independent of the*
 ``workers=`` *knob*: the per-ISP simulations and per-population CDN
@@ -102,19 +100,12 @@ class AtlasScenario:
         # keyed under an older layout; keep only entries whose key leads
         # with the current format version so stale packs repack lazily
         # instead of failing downstream.
+        from repro.core.analysis_np import COLUMNS_FORMAT_VERSION
+
         valid = {}
         if isinstance(raw, dict):
-            try:
-                from repro.core.analysis_np import COLUMNS_FORMAT_VERSION
-            except ImportError:
-                COLUMNS_FORMAT_VERSION = None
             for key, entry in raw.items():
-                if (
-                    COLUMNS_FORMAT_VERSION is not None
-                    and isinstance(key, tuple)
-                    and key
-                    and key[0] == COLUMNS_FORMAT_VERSION
-                ):
+                if isinstance(key, tuple) and key and key[0] == COLUMNS_FORMAT_VERSION:
                     valid[key] = entry
         self.__dict__["_columns_state"] = valid
 
@@ -126,33 +117,22 @@ class AtlasScenario:
         """ASN of the ISP named ``name``."""
         return self.isps[name].asn
 
-    def analysis_columns(
-        self, asn: Optional[int] = None, engine: Optional[str] = None
-    ):
+    def analysis_columns(self, asn: Optional[int] = None):
         """Memoized columnar pack of this scenario's sanitized probes.
 
         Returns the shared :class:`repro.core.analysis_np.ProbeColumns`
         for ``asn``'s probes (all probes when ``asn is None``) so every
-        table/figure computed from this scenario reuses one CSR pack.
-        Both columnar engines (``"np"`` and ``"fused"``) share the same
-        packs; the pure-Python engine (or a NumPy-less interpreter) gets
-        ``None``.  The cache key leads with the pack format version
+        table/figure the fused engine computes from this scenario reuses
+        one CSR pack (packing is lazy: an unused pack costs nothing).
+        The cache key leads with the pack format version
         (:data:`repro.core.analysis_np.COLUMNS_FORMAT_VERSION`) — so
         entries from an older buffer layout repack instead of being
         served stale — and includes the identity/size of
-        ``self.probes``, so flipping ``$REPRO_ANALYSIS_ENGINE``
-        mid-session or re-sanitizing the probe list can never serve
+        ``self.probes``, so re-sanitizing the probe list can never serve
         stale columns.
         """
-        from repro.core.engine import resolve_engine
+        from repro.core.analysis_np import COLUMNS_FORMAT_VERSION, ProbeColumns
 
-        resolved = resolve_engine(engine)
-        if resolved not in ("np", "fused"):
-            return None
-        try:
-            from repro.core.analysis_np import COLUMNS_FORMAT_VERSION, ProbeColumns
-        except ImportError:
-            return None
         key = (COLUMNS_FORMAT_VERSION, asn, id(self.probes), len(self.probes))
         cached = self._columns_state.get(key)
         # The cache entry pins the exact probe list it was packed from, so
@@ -188,11 +168,12 @@ def analyze_atlas_scenario(
 ) -> AtlasAnalysis:
     """Compute Table 1/2 and Figures 1/5 for every featured AS.
 
-    ``engine`` picks the analysis kernels: ``"py"`` is the pure-Python
-    reference, ``"np"`` the per-kernel columnar engine, ``"fused"`` the
-    single-pass engine of :mod:`repro.core.fused` (``None`` reads
-    ``$REPRO_ANALYSIS_ENGINE``, defaulting to ``"np"`` when NumPy is
-    available).  All engines yield bit-identical artifacts.
+    ``engine`` picks the analysis kernels: ``"fused"`` (the default;
+    ``None`` reads ``$REPRO_ANALYSIS_ENGINE``) runs one global pass of
+    :mod:`repro.core.fused` over the scenario's memoized pack and
+    assembles every AS by masking; ``"py"`` walks each AS's probes
+    through the pure-Python reference.  Both yield bit-identical
+    artifacts.
 
     ``workers`` only applies to the fused engine: with ``workers > 1``
     the per-AS assembly fans out over a process pool that memory-maps
@@ -200,7 +181,6 @@ def analyze_atlas_scenario(
     (:func:`repro.perf.parallel.run_fused_analysis`) — zero-copy, and
     bit-identical to the serial fused run.
     """
-    from repro.core.engine import FALLBACK_ERRORS
     from repro.core.report import (
         figure1_for_as,
         figure5_for_as,
@@ -208,47 +188,32 @@ def analyze_atlas_scenario(
         table1_row,
         table2_row,
     )
-    from repro.obs import metric_inc
 
     resolved = resolve_engine(engine)
     _log.info("analysis engine resolved", extra={"engine": resolved})
     if resolved == "fused":
-        columns = scenario.analysis_columns(None, engine=resolved)
-        if columns is not None:
-            groups = [
-                (name, isp.asn, isp.config.country)
-                for name, isp in scenario.isps.items()
-            ]
-            try:
-                with span("analysis/report", engine=resolved, networks=len(groups)):
-                    if resolve_workers(workers) > 1:
-                        from repro.perf.parallel import run_fused_analysis
+        columns = scenario.analysis_columns(None)
+        groups = [
+            (name, isp.asn, isp.config.country) for name, isp in scenario.isps.items()
+        ]
+        with span("analysis/report", engine=resolved, networks=len(groups)):
+            if resolve_workers(workers) > 1:
+                from repro.perf.parallel import run_fused_analysis
 
-                        artifacts = run_fused_analysis(
-                            columns, groups, scenario.table, workers=workers
-                        )
-                    else:
-                        from repro.core.fused import fused_analysis_artifacts
+                artifacts = run_fused_analysis(
+                    columns, groups, scenario.table, workers=workers
+                )
+            else:
+                from repro.core.fused import fused_analysis_artifacts
 
-                        artifacts = fused_analysis_artifacts(
-                            columns, groups, scenario.table
-                        )
-                return AtlasAnalysis(
-                    engine=resolved,
-                    table1=artifacts["table1"],
-                    table2=artifacts["table2"],
-                    figure1=artifacts["figure1"],
-                    figure5=artifacts["figure5"],
-                )
-            except FALLBACK_ERRORS as exc:
-                metric_inc("analysis.fused.fallbacks", artifact="report")
-                _log.debug(
-                    "fused scenario analysis fell back to the per-AS path",
-                    extra={"error": type(exc).__name__},
-                )
-        # Fall through to the per-AS loop; the report-layer entry points
-        # still dispatch each artifact through the fused (or reference)
-        # path as appropriate.
+                artifacts = fused_analysis_artifacts(columns, groups, scenario.table)
+        return AtlasAnalysis(
+            engine=resolved,
+            table1=artifacts["table1"],
+            table2=artifacts["table2"],
+            figure1=artifacts["figure1"],
+            figure5=artifacts["figure5"],
+        )
     table1 = {}
     table2 = {}
     figure1 = {}
@@ -256,26 +221,16 @@ def analyze_atlas_scenario(
     with span("analysis/report", engine=resolved, networks=len(scenario.isps)):
         for name, isp in scenario.isps.items():
             probes = scenario.probes_in(isp.asn)
-            columns = scenario.analysis_columns(isp.asn, engine=resolved)
             with span("analysis/table1", network=name):
                 table1[name] = table1_row(
-                    name,
-                    isp.asn,
-                    isp.config.country,
-                    probes,
-                    engine=resolved,
-                    columns=columns,
+                    name, isp.asn, isp.config.country, probes, engine=resolved
                 )
             with span("analysis/table2", network=name):
-                table2[name] = table2_row(
-                    probes, scenario.table, engine=resolved, columns=columns
-                )
+                table2[name] = table2_row(probes, scenario.table, engine=resolved)
             with span("analysis/figure1", network=name):
-                figure1[name] = figure1_for_as(
-                    name, probes, engine=resolved, columns=columns
-                )
+                figure1[name] = figure1_for_as(name, probes, engine=resolved)
             with span("analysis/figure5", network=name):
-                figure5[name] = figure5_for_as(probes, engine=resolved, columns=columns)
+                figure5[name] = figure5_for_as(probes, engine=resolved)
     return AtlasAnalysis(
         engine=resolved, table1=table1, table2=table2, figure1=figure1, figure5=figure5
     )
@@ -289,60 +244,35 @@ def periodicity_for_scenario(
 ) -> "Tuple[Dict[str, float], Dict[str, float]]":
     """Consistent periodic renumbering per featured ISP (Section 3.2).
 
-    Returns ``(v4_nds_periods, v6_periods)`` from
-    :func:`repro.core.report.periodic_networks`, dispatched through the
-    analysis-engine knob and reusing the scenario's memoized column
-    packs on the columnar paths.  The fused engine detects every
-    network's periods from one global pass
+    Returns ``(v4_nds_periods, v6_periods)``.  The fused engine detects
+    every network's periods from one global pass
     (:func:`repro.core.fused.fused_network_periods`), reusing the
-    scenario's global pack and its cached fused stats.
+    scenario's global pack and its cached fused stats; ``"py"`` runs
+    :func:`repro.core.report.periodic_networks` over each network's
+    probes through the reference.
     """
-    from repro.core.engine import FALLBACK_ERRORS
     from repro.core.report import periodic_networks, resolve_engine
 
     resolved = resolve_engine(engine)
-    if resolved == "fused":
-        columns = scenario.analysis_columns(None, engine=resolved)
-        if columns is not None:
+    with span("analysis/periodicity", engine=resolved, networks=len(scenario.isps)):
+        if resolved == "fused":
+            from repro.core.fused import fused_network_periods
+
             groups = [
                 (name, isp.asn, isp.config.country)
                 for name, isp in scenario.isps.items()
             ]
-            try:
-                with span(
-                    "analysis/periodicity", engine=resolved, networks=len(groups)
-                ):
-                    from repro.core.fused import fused_network_periods
-
-                    return fused_network_periods(
-                        columns, groups, tolerance=tolerance, min_probes=min_probes
-                    )
-            except FALLBACK_ERRORS as exc:
-                from repro.obs import metric_inc
-
-                metric_inc("analysis.fused.fallbacks", artifact="periodicity")
-                _log.debug(
-                    "fused periodicity fell back to the per-network path",
-                    extra={"error": type(exc).__name__},
-                )
-    probes_by_network = {
-        name: scenario.probes_in(isp.asn) for name, isp in scenario.isps.items()
-    }
-    columns_by_network = None
-    if resolved in ("np", "fused"):
-        columns_by_network = {
-            name: scenario.analysis_columns(isp.asn, engine=resolved)
-            for name, isp in scenario.isps.items()
-        }
-        if any(columns is None for columns in columns_by_network.values()):
-            columns_by_network = None
-    with span("analysis/periodicity", engine=resolved, networks=len(probes_by_network)):
+            return fused_network_periods(
+                scenario.analysis_columns(None),
+                groups,
+                tolerance=tolerance,
+                min_probes=min_probes,
+            )
         return periodic_networks(
-            probes_by_network,
+            {name: scenario.probes_in(isp.asn) for name, isp in scenario.isps.items()},
             tolerance=tolerance,
             min_probes=min_probes,
             engine=resolved,
-            columns_by_network=columns_by_network,
         )
 
 
@@ -756,7 +686,7 @@ def stream_analyze_atlas_scenario(
     chunks and folds them through the incremental
     :class:`repro.stream.engine.AtlasStreamEngine`; the returned
     :class:`~repro.stream.engine.AtlasStreamResult` carries artifacts
-    bit-identical to ``analyze_atlas_scenario(scenario, engine="np")``
+    bit-identical to ``analyze_atlas_scenario(scenario, engine="fused")``
     plus the ``periodicity_for_scenario`` periods for the same
     ``min_probes``/``tolerance``.
 
@@ -827,7 +757,7 @@ def analyze_triple_store(store, workers: Optional[int] = None, block_rows=None):
     Accepts an open :class:`repro.store.TripleStore` or a directory
     path; ``workers`` fans the per-shard pass out over the zero-copy
     pool (``None`` = ``$REPRO_WORKERS``).  Artifacts are bit-identical
-    to the in-RAM ``engine="np"`` path (see
+    to the in-RAM ``engine="fused"`` path (see
     :func:`repro.perf.verify.store_diffs`).
     """
     from repro.store import DEFAULT_BLOCK_ROWS, TripleStore, analyze_store

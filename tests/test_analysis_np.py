@@ -1,10 +1,11 @@
-"""Parity tests: the columnar engine vs the pure-Python reference.
+"""Parity tests: the columnar kernels vs the pure-Python reference.
 
-Every kernel in ``repro.core.analysis_np`` must be *bit-identical* to
-its reference in ``changes.py``/``timefraction.py``/``periodicity.py``/
-``dualstack.py``/``spatial.py``.  The randomized streams here cover the
-awkward shapes: observation gaps, single-run probes, all-identical
-values, probes with no runs at all.
+Every kernel in ``repro.core.analysis_np`` — and the fused single-pass
+engine built from them (``repro.core.fused``) — must be *bit-identical*
+to its reference in ``changes.py``/``timefraction.py``/
+``periodicity.py``/``dualstack.py``/``spatial.py``.  The randomized
+streams here cover the awkward shapes: observation gaps, single-run
+probes, all-identical values, probes with no runs at all.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.atlas.echo import EchoRun  # noqa: E402
 from repro.atlas.sanitize import SanitizedProbe  # noqa: E402
 from repro.bgp.table import RoutingTable  # noqa: E402
 from repro.core import analysis_np as anp  # noqa: E402
+from repro.core import fused  # noqa: E402
 from repro.core.changes import (  # noqa: E402
     changes_from_runs,
     observations_from_runs,
@@ -115,6 +117,11 @@ def _packed(hi, lo) -> list:
     return [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
 
 
+def _fused_stats(probes):
+    """The fused engine's per-probe stats over a fresh pack of ``probes``."""
+    return fused.fused_probe_stats(anp.ProbeColumns(probes))
+
+
 # ---------------------------------------------------------------------------
 # Change detection
 # ---------------------------------------------------------------------------
@@ -123,8 +130,8 @@ def _packed(hi, lo) -> list:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_change_table_matches_reference(seed):
     probes = _random_probes(seed)
-    cols = anp.columns_from_runs([probe.v4_runs for probe in probes])
-    table = anp.change_table(cols)
+    stats = _fused_stats(probes)
+    table = stats.v4_changes
     expected = []
     for index, probe in enumerate(probes):
         for change in changes_from_runs(probe.v4_runs):
@@ -142,7 +149,7 @@ def test_change_table_matches_reference(seed):
         )
     )
     assert got == expected
-    assert anp.change_counts(cols).tolist() == [
+    assert stats.v4_change_counts.tolist() == [
         len(changes_from_runs(probe.v4_runs)) for probe in probes
     ]
 
@@ -269,10 +276,12 @@ def test_periodicity_matches_reference(seed):
         else:
             durations.append(float(rng.randrange(1, 400)))
     assert anp.detect_periods_np(durations) == detect_periods(durations)
-    for period in (24.0, 168.0):
-        assert anp.probe_exhibits_period_np(durations, period) == probe_exhibits_period(
-            durations, period
-        )
+    flags = anp.probe_period_flags(
+        durations, [0] * len(durations), 1, candidate_periods=(24.0, 168.0)
+    )
+    assert flags[0].tolist() == [
+        probe_exhibits_period(durations, period) for period in (24.0, 168.0)
+    ]
     assert anp.detect_periods_np([]) == detect_periods([]) == []
 
 
@@ -284,10 +293,7 @@ def test_periodicity_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cpl_histogram_matches_reference(seed):
     probes = _random_probes(seed)
-    cols = anp.columns_from_runs(
-        [probe.v6_runs for probe in probes], value_type=IPv6Address
-    )
-    got = anp.cpl_histogram_np(anp.rekey_v6_runs(cols, 64), 64)
+    got = fused.figure5_from_stats(_fused_stats(probes))
     by_probe = {
         probe.probe_id: changes_from_runs(v6_runs_to_prefix_runs(probe.v6_runs, 64))
         for probe in probes
@@ -299,17 +305,7 @@ def test_cpl_histogram_matches_reference(seed):
 def test_crossing_rates_match_reference(seed):
     probes = _random_probes(seed)
     table = _routing_table()
-    v4_cols = anp.columns_from_runs(
-        [probe.v4_runs for probe in probes], value_type=IPv4Address
-    )
-    v6_cols = anp.columns_from_runs(
-        [probe.v6_runs for probe in probes], value_type=IPv6Address
-    )
-    got = anp.crossing_rates_np(
-        anp.change_table(v4_cols),
-        anp.change_table(anp.rekey_v6_runs(v6_cols, 64)),
-        table,
-    )
+    got = fused.table2_from_stats(_fused_stats(probes), table)
     v4_changes = [
         change for probe in probes for change in changes_from_runs(probe.v4_runs)
     ]
@@ -337,36 +333,52 @@ def test_columns_from_runs_type_enforcement():
 def test_empty_population_kernels():
     cols = anp.columns_from_runs([])
     assert cols.n_probes == 0 and cols.n_runs == 0
-    assert anp.change_table(cols).n_changes == 0
     assert anp.duration_table(cols).n_durations == 0
     assert anp.rekey_v6_runs(cols).n_runs == 0
-    assert anp.cpl_histogram_np(cols) == cpl_histogram({})
+    stats = _fused_stats([])
+    assert stats.v4_changes.n_changes == 0 and stats.v6_changes.n_changes == 0
+    assert fused.figure5_from_stats(stats) == cpl_histogram({})
 
 
 def test_resolve_engine_dispatch(monkeypatch):
     from repro.core import report
 
     monkeypatch.delenv(report.ENGINE_ENV, raising=False)
-    assert report.resolve_engine() == "np"
+    assert report.resolve_engine() == "fused"
     assert report.resolve_engine("py") == "py"
     monkeypatch.setenv(report.ENGINE_ENV, "py")
     assert report.resolve_engine() == "py"
-    assert report.resolve_engine("np") == "np"  # explicit beats the environment
-    with pytest.raises(ValueError):
-        report.resolve_engine("fast")
+    assert report.resolve_engine("fused") == "fused"  # explicit beats the environment
+    for retired in ("np", "fast"):
+        with pytest.raises(ValueError, match=r"\('fused', 'py'\)"):
+            report.resolve_engine(retired)
+    monkeypatch.setenv(report.ENGINE_ENV, "np")
+    with pytest.raises(ValueError, match="np"):
+        report.resolve_engine()
 
 
-def test_np_engine_falls_back_to_reference(monkeypatch):
+def test_fused_fast_path_errors_propagate(monkeypatch):
+    """A columnar kernel that raises is an error, never a silent rerun of
+    the reference: it escapes the report entry point and the scenario
+    driver, and no fallback counter is recorded."""
     from repro.core import report
+    from repro.obs import telemetry, telemetry_snapshot
+    from repro.workloads import analyze_atlas_scenario, build_atlas_scenario
 
     probes = _random_probes(3)
-    expected = report.table1_row("AS", 64500, "DE", probes, engine="py")
+    scenario = build_atlas_scenario(probes_per_as=2, years=0.2, seed=0, cache=False)
 
     def boom(*args, **kwargs):
         raise TypeError("unpackable")
 
-    monkeypatch.setattr(report._anp, "columns_from_runs", boom)
-    assert report.table1_row("AS", 64500, "DE", probes, engine="np") == expected
+    monkeypatch.setattr(anp, "columns_from_runs", boom)
+    with telemetry(True, reset=True):
+        with pytest.raises(TypeError, match="unpackable"):
+            report.table1_row("AS", 64500, "DE", probes, engine="fused")
+        with pytest.raises(TypeError, match="unpackable"):
+            analyze_atlas_scenario(scenario)
+        counters = telemetry_snapshot()["metrics"]["counters"]
+    assert not [name for name in counters if name.endswith("fallbacks")]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -450,14 +462,8 @@ def test_split_durations_by_stack_np_matches_reference(seed):
     from repro.core.changes import sandwiched_durations
 
     probes = _random_probes(seed)
-    v4_cols = anp.columns_from_runs(
-        [probe.v4_runs for probe in probes], value_type=IPv4Address
-    )
-    v6_cols = anp.columns_from_runs(
-        [probe.v6_runs for probe in probes], value_type=IPv6Address
-    )
-    durations = anp.duration_table(v4_cols)
-    dual, non_dual = anp.split_durations_by_stack_np(v6_cols, durations)
+    stats = _fused_stats(probes)
+    hours, dual_mask = stats.v4_duration_hours, stats.v4_duration_dual
     expected_dual = []
     expected_non_dual = []
     for probe in probes:
@@ -466,8 +472,8 @@ def test_split_durations_by_stack_np_matches_reference(seed):
         )
         expected_dual.extend(float(d.hours) for d in ref_dual)
         expected_non_dual.extend(float(d.hours) for d in ref_non_dual)
-    assert dual.hours().astype(float).tolist() == expected_dual
-    assert non_dual.hours().astype(float).tolist() == expected_non_dual
+    assert hours[dual_mask].tolist() == expected_dual
+    assert hours[~dual_mask].tolist() == expected_non_dual
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -484,7 +490,7 @@ def test_box_stats_np_matches_reference(seed):
         (rng.randrange(90), rng.randrange(10), rng.randrange(8) << 64)
         for _ in range(rng.randrange(1, 150))
     ]
-    assert association_box_stats(triples, engine="np") == association_box_stats(
+    assert association_box_stats(triples, engine="fused") == association_box_stats(
         triples, engine="py"
     )
     with pytest.raises(ValueError):
@@ -501,12 +507,12 @@ def test_inferred_plen_distribution_matches_reference(seed):
 
     probes = _random_probes(seed)
     expected = inferred_plen_distribution(per_probe_prefixes_from_runs(probes, 64))
-    assert inferred_plen_distribution_for_probes(probes, engine="np") == expected
+    assert inferred_plen_distribution_for_probes(probes, engine="fused") == expected
     assert inferred_plen_distribution_for_probes(probes, engine="py") == expected
     # Shared-pack path: a caller-supplied ProbeColumns yields the same.
     columns = anp.ProbeColumns(probes)
     assert (
-        inferred_plen_distribution_for_probes(probes, engine="np", columns=columns)
+        inferred_plen_distribution_for_probes(probes, engine="fused", columns=columns)
         == expected
     )
 
@@ -517,10 +523,8 @@ def test_probe_columns_memoizes_packs():
     assert columns.n_probes == len(probes)
     assert columns.v4() is columns.v4()
     assert columns.v6_prefix() is columns.v6_prefix()
-    assert columns.v4_changes() is columns.v4_changes()
-    assert columns.dual_mask() is columns.dual_mask()
-    # Distinct min_coverage values are distinct cache entries.
-    assert columns.dual_mask(0.5) is not columns.dual_mask(0.9)
+    assert columns.dual_flags() is columns.dual_flags()
+    assert fused.fused_probe_stats(columns) is fused.fused_probe_stats(columns)
 
 
 def _refuse(*_args, **_kwargs):

@@ -2,8 +2,7 @@
 
 The fused engine (``repro.core.fused``) computes every per-probe
 intermediate in one traversal of the packed run columns; everything it
-emits must be *bit-identical* to both the per-kernel columnar engine
-(``"np"``) and the pure-Python reference (``"py"``).  The randomized
+emits must be *bit-identical* to the pure-Python reference (``"py"``).  The randomized
 streams here reuse the awkward shapes of ``test_analysis_np.py`` —
 observation gaps, single-run probes, probes with no runs, v6-only
 probes — across several ASes so the per-AS selection paths are
@@ -46,7 +45,7 @@ from repro.perf.parallel import run_fused_analysis  # noqa: E402
 pytestmark = pytest.mark.fused
 
 SEEDS = (0, 1, 2, 7, 2020)
-ENGINES = ("py", "np", "fused")
+ENGINES = ("py", "fused")
 
 _V4_POOL = [0xC6336400 + i for i in range(0, 96, 7)]  # 198.51.100.0/24 area
 _V6_BASE = 0x20010DB8 << 96
@@ -145,14 +144,10 @@ def _artifacts(probes, table, engine):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_three_way_engine_parity(seed):
-    """fused == np == py on every report artifact, randomized streams."""
+    """fused == py on every report artifact, randomized streams."""
     probes = _random_probes(seed)
     table = _routing_table()
-    py = _artifacts(probes, table, "py")
-    np_result = _artifacts(probes, table, "np")
-    fused_result = _artifacts(probes, table, "fused")
-    assert np_result == py
-    assert fused_result == py
+    assert _artifacts(probes, table, "fused") == _artifacts(probes, table, "py")
 
 
 @pytest.mark.parametrize(
@@ -180,7 +175,7 @@ def test_three_way_engine_parity(seed):
     ids=["empty", "no-runs", "single-run", "v6-only"],
 )
 def test_edge_case_parity(probes):
-    """Degenerate populations agree across all three engines."""
+    """Degenerate populations agree across both engines."""
     table = _routing_table()
     reference = None
     for engine in ENGINES:
@@ -278,7 +273,7 @@ def test_scenario_memo_drops_stale_format_entries():
     from repro.workloads import build_atlas_scenario
 
     scenario = build_atlas_scenario(probes_per_as=2, years=0.2, seed=0, cache=False)
-    fresh = scenario.analysis_columns(None, engine="fused")
+    fresh = scenario.analysis_columns(None)
     assert fresh is not None
     state = scenario.__getstate__()
     # Simulate a cache pickle written under an older pack layout: the
@@ -290,9 +285,9 @@ def test_scenario_memo_drops_stale_format_entries():
     revived = scenario.__class__.__new__(scenario.__class__)
     revived.__setstate__(state)
     assert revived._columns_state == {}  # stale entries dropped, not served
-    repacked = revived.analysis_columns(None, engine="np")
+    repacked = revived.analysis_columns(None)
     assert repacked is not None  # repacks lazily instead of failing
-    assert revived.analysis_columns(None, engine="np") is repacked
+    assert revived.analysis_columns(None) is repacked
 
 
 def test_worker_fanout_matches_serial(tmp_path):
@@ -320,7 +315,7 @@ def test_worker_fanout_matches_serial(tmp_path):
 
 
 def test_workloads_fused_engine_end_to_end():
-    """analyze/periodicity under engine='fused' match 'np', workers too."""
+    """analyze/periodicity under engine='fused' match 'py', workers too."""
     from repro.workloads import (
         analyze_atlas_scenario,
         build_atlas_scenario,
@@ -328,7 +323,7 @@ def test_workloads_fused_engine_end_to_end():
     )
 
     scenario = build_atlas_scenario(probes_per_as=3, years=0.4, seed=7, cache=False)
-    np_analysis = analyze_atlas_scenario(scenario, engine="np")
+    py_analysis = analyze_atlas_scenario(scenario, engine="py")
     fused_analysis = analyze_atlas_scenario(scenario, engine="fused")
     assert fused_analysis.engine == "fused"
     assert (
@@ -336,13 +331,13 @@ def test_workloads_fused_engine_end_to_end():
         fused_analysis.table2,
         fused_analysis.figure1,
         fused_analysis.figure5,
-    ) == (np_analysis.table1, np_analysis.table2, np_analysis.figure1,
-          np_analysis.figure5)
+    ) == (py_analysis.table1, py_analysis.table2, py_analysis.figure1,
+          py_analysis.figure5)
     pooled = analyze_atlas_scenario(scenario, engine="fused", workers=2)
     assert pooled == fused_analysis
     assert periodicity_for_scenario(
         scenario, min_probes=2, engine="fused"
-    ) == periodicity_for_scenario(scenario, min_probes=2, engine="np")
+    ) == periodicity_for_scenario(scenario, min_probes=2, engine="py")
 
 
 def test_fused_verify_helper():

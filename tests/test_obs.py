@@ -226,7 +226,7 @@ def test_pipeline_emits_spans_and_counters():
     assert "collection/sanitize" in children
     report = roots["analysis/report"]
     assert {child["name"] for child in report["children"]} == {
-        "analysis/table1", "analysis/table2", "analysis/figure1", "analysis/figure5",
+        "analysis/fused/pass", "analysis/fused/network",
     }
 
 
