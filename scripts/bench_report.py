@@ -14,7 +14,9 @@ Usage::
     PYTHONPATH=src python -m scripts.bench_report --check    # gate newest run
 
 ``--check`` compares the newest entry of each mode against up to the
-three previous same-mode entries and fails (exit 1) only when a stage
+three previous entries of the same mode *recorded on the same number of
+cores* (``cpu_count``: a 1-core host runs every pool serially, so its
+timings say nothing about a multi-core run) and fails (exit 1) only when a stage
 is slower than *every* one of them by more than ``--tolerance`` (for
 the throughput stages: when its tuples/s rate fell below every one of
 them by more than the same factor)
@@ -170,11 +172,11 @@ BASELINE_WINDOW = 3
 
 
 def check_regressions(entries: List[dict], tolerance: float) -> List[str]:
-    """Stage regressions of the newest run vs its same-mode window.
+    """Stage regressions of the newest run vs its ``(mode, cpu_count)`` window.
 
     A stage fails only when the newest run is slower than *every* one
-    of the last :data:`BASELINE_WINDOW` same-mode predecessors that
-    recorded it by more than ``tolerance`` — one historically noisy
+    of the last :data:`BASELINE_WINDOW` predecessors with the same mode
+    and core count that recorded it by more than ``tolerance`` — one historically noisy
     run can never mask a regression the rest of the window would
     catch, and one historically *fast* run can't trip the gate on its
     own.  The end-to-end total is re-summed per predecessor over the
@@ -189,6 +191,10 @@ def check_regressions(entries: List[dict], tolerance: float) -> List[str]:
     failures = []
     for mode in ("check", "full"):
         selected = [e for e in entries if e.get("mode") == mode]
+        if not selected:
+            continue
+        cores = selected[-1].get("cpu_count")
+        selected = [e for e in selected if e.get("cpu_count") == cores]
         if len(selected) < 2:
             continue
         window = [stage_seconds(e) for e in selected[-1 - BASELINE_WINDOW:-1]]
@@ -233,7 +239,7 @@ def check_regressions(entries: List[dict], tolerance: float) -> List[str]:
                 unit = "/s" if label in RATE_EXTRACTORS else "s"
                 fmt = "{:,.0f}" if label in RATE_EXTRACTORS else "{:.3f}"
                 failures.append(
-                    f"[{mode}] {label} regressed {ratio:.2f}x: "
+                    f"[{mode}, cpu_count={cores}] {label} regressed {ratio:.2f}x: "
                     f"{fmt.format(old_value)}{unit} -> "
                     f"{fmt.format(new_value)}{unit} "
                     f"(tolerance {1.0 + tolerance:.2f}x)"

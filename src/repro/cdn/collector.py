@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.bgp.registry import AccessKind, RIR, Registry
 from repro.bgp.table import RoutingTable
 from repro.cdn.classify import PrefixClassifier
 from repro.core.associations import Triple
+from repro.perf.parallel import map_streamed
 
 
 @dataclass
@@ -90,20 +92,23 @@ def collect(
     table: RoutingTable,
     registry: Registry,
     filter_asn_mismatch: bool = True,
-    classifier: Optional[PrefixClassifier] = None,
 ) -> CdnDataset:
     """Gather triples from populations and apply the ASN-mismatch filter.
 
     Each population must expose ``triples() -> Iterable[Triple]``.
     With ``filter_asn_mismatch=False`` the raw stream is grouped by the
     *v6* side's origin AS instead — the ablation configuration showing
-    the spurious associations the filter exists to remove.  A
-    pre-built ``classifier`` may be injected (the parallel collection
-    path in :mod:`repro.perf.parallel` classifies per-population batches
-    in worker processes, then attaches a parent-side classifier).
+    the spurious associations the filter exists to remove.
     """
-    if classifier is None:
-        classifier = PrefixClassifier(table, registry)
+    return _classified(
+        populations, PrefixClassifier(table, registry), filter_asn_mismatch
+    )
+
+
+def _classified(
+    populations: Sequence, classifier: PrefixClassifier, filter_asn_mismatch: bool
+) -> CdnDataset:
+    """:func:`collect` with the classifier already built."""
     dataset = CdnDataset(classifier=classifier)
     grouped: Dict[int, List[Triple]] = defaultdict(list)
     for population in populations:
@@ -137,4 +142,45 @@ def merge_datasets(datasets: Iterable[CdnDataset]) -> CdnDataset:
     return merged
 
 
-__all__ = ["CdnDataset", "collect", "merge_datasets"]
+def _collect_population(
+    classifier: PrefixClassifier, population, filter_asn_mismatch: bool
+) -> CdnDataset:
+    """One population's dataset, classified by the shared ``classifier``.
+
+    The classifier is detached from the result: in a pool worker it
+    only holds lookup caches over worker-side copies of the table and
+    registry, so it is not shipped back.
+    """
+    dataset = _classified([population], classifier, filter_asn_mismatch)
+    dataset.classifier = None
+    return dataset
+
+
+def collect_associations(
+    populations: Sequence,
+    table: RoutingTable,
+    registry: Registry,
+    filter_asn_mismatch: bool = True,
+    workers: Optional[int] = 1,
+) -> CdnDataset:
+    """Parallel-aware :func:`collect`: one batch per population.
+
+    Each population's triples are generated and classified on their own
+    — in a process pool when ``workers > 1``
+    (:func:`repro.perf.parallel.map_streamed`, which ships the
+    classifier once per worker) — then merged in population order.
+    That yields the exact per-AS triple lists of a single
+    :func:`collect` pass, which appends population by population.
+    """
+    classifier = PrefixClassifier(table, registry)
+    task = partial(_collect_population, filter_asn_mismatch=filter_asn_mismatch)
+    merged = merge_datasets(
+        map_streamed(
+            task, populations, workers=workers, kind="cdn_collect", shared=classifier
+        )
+    )
+    merged.classifier = classifier
+    return merged
+
+
+__all__ = ["CdnDataset", "collect", "collect_associations", "merge_datasets"]

@@ -24,13 +24,18 @@ every artifact is per-probe local and masking a probe-major pack
 preserves per-AS relative order.
 
 Dispatched as ``engine="fused"`` (the default) through
-:mod:`repro.core.engine`; the parity contract with the ``"py"``
+:mod:`repro.core.engine`.  :func:`run_fused_analysis` fans the per-AS
+assembly out over a process pool whose workers memory-map the saved
+pack.  The parity contract with the ``"py"``
 reference is enforced by ``repro.perf.verify.fused_engine_diffs`` and
 the randomized tests in ``tests/test_fused.py``.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -42,6 +47,7 @@ from repro.core.periodicity import CANONICAL_PERIODS
 from repro.core.report import AsDurations, Figure1Series, Table1Row, figure1_series
 from repro.core.spatial import CplHistogram, CrossingRates
 from repro.obs import metric_inc, span
+from repro.perf.parallel import effective_workers, map_streamed
 
 
 @dataclass
@@ -399,6 +405,88 @@ def fused_analysis_artifacts(
     }
 
 
+class _MappedPack:
+    """A saved probe pack plus the routing table, shared with pool workers.
+
+    Pickles as the arena *path* (and the table): each worker memory-maps
+    the pack when it unpickles the handle, so no column array is ever
+    pickled into the pool.
+    """
+
+    def __init__(self, path: str, table: Optional[RoutingTable]) -> None:
+        self.path = path
+        self.table = table
+        self.columns = anp.ProbeColumns.from_arena(path)
+
+    def __reduce__(self):
+        return (_MappedPack, (self.path, self.table))
+
+
+def _group_artifacts(pack: _MappedPack, group: Tuple[str, int, str]) -> dict:
+    """One AS's artifacts from a fused pass over its sub-pack.
+
+    Selecting the AS's probes out of the global pack and running the
+    fused pass over the sub-pack is bit-identical to masking the global
+    fused stats: every artifact is per-probe local and the CSR gather
+    preserves probe order.
+    """
+    name, asn, country = group
+    columns = pack.columns
+    stats = fused_probe_stats(columns.select(np.flatnonzero(columns.asns() == asn)))
+    result = {
+        "table1": table1_from_stats(stats, name, asn, country),
+        "figure1": figure1_from_stats(stats, name),
+        "figure5": figure5_from_stats(stats),
+    }
+    if pack.table is not None:
+        result["table2"] = table2_from_stats(stats, pack.table)
+    return result
+
+
+def run_fused_analysis(
+    columns: anp.ProbeColumns,
+    groups: Sequence[Tuple[str, int, str]],
+    table: Optional[RoutingTable] = None,
+    workers: Optional[int] = None,
+) -> Dict[str, Dict[str, object]]:
+    """:func:`fused_analysis_artifacts`, fanned out per AS when it can be.
+
+    With more than one effective worker
+    (:func:`repro.perf.parallel.effective_workers` over ``groups``) the
+    parent saves ``columns`` as one arena file and ships only its
+    *path* to the pool; workers memory-map the pack, run the fused pass
+    over each AS's sub-pack and return small artifact objects, merged
+    in ``groups`` order.  Otherwise it *is* the serial global pass.
+    Both return the same artifacts, bit-identically.
+    """
+    if effective_workers(workers, len(groups)) <= 1:
+        return fused_analysis_artifacts(columns, groups, table)
+    scratch = tempfile.mkdtemp(prefix="repro-fused-")
+    try:
+        path = columns.save_arena(os.path.join(scratch, "probes.arena"))
+        per_group = list(
+            map_streamed(
+                _group_artifacts,
+                groups,
+                workers=workers,
+                kind="fused_analysis",
+                shared=_MappedPack(str(path), table),
+            )
+        )
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    merged: Dict[str, Dict[str, object]] = {
+        "table1": {},
+        "table2": {},
+        "figure1": {},
+        "figure5": {},
+    }
+    for (name, _asn, _country), artifacts in zip(groups, per_group):
+        for kind, value in artifacts.items():
+            merged[kind][name] = value
+    return merged
+
+
 def fused_network_periods(
     columns: anp.ProbeColumns,
     groups: Sequence[Tuple[str, int, str]],
@@ -469,6 +557,7 @@ __all__ = [
     "fused_probe_stats",
     "network_periods_from_stats",
     "periodic_networks_fused",
+    "run_fused_analysis",
     "table1_from_stats",
     "table2_from_stats",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ip.addr import IPv4Address
 from repro.ip.prefix import IPv6Prefix
@@ -37,6 +37,7 @@ from repro.netsim.events import EventQueue
 from repro.netsim.isp import Isp, IspConfig
 from repro.netsim.policy import ChangePolicy
 from repro.netsim.pool import V4AddressPlan, V6PrefixPlan
+from repro.perf.parallel import map_streamed
 
 Value = Union[IPv4Address, IPv6Prefix]
 
@@ -425,7 +426,7 @@ class SimulationResult:
 
 
 def run_simulation_job(job: SimulationJob) -> SimulationResult:
-    """Execute one :class:`SimulationJob` (used as the worker entry point)."""
+    """Execute one :class:`SimulationJob` (serially or in a pool worker)."""
     view = _PlanView(job.config, job.v4_plan, job.v6_plan)
     timelines = IspSimulation(
         view, job.num_subscribers, job.end_hour, seed=job.seed
@@ -438,11 +439,37 @@ def run_simulation_job(job: SimulationJob) -> SimulationResult:
     )
 
 
+def run_isp_simulations(
+    jobs: Sequence[Tuple[Isp, int]],
+    end_hour: float,
+    seed: int,
+    workers: Optional[int] = 1,
+) -> List[Dict[int, SubscriberTimeline]]:
+    """Run every ``(isp, num_subscribers)`` simulation job.
+
+    Returns the timeline dicts in job order.  Every job runs
+    :func:`run_simulation_job` — in a process pool when ``workers > 1``
+    (:func:`repro.perf.parallel.map_streamed`) — and its post-run
+    address plans are grafted back onto the parent's :class:`Isp`, so
+    the pooled outcome is bit-identical to the serial one.
+    """
+    sim_jobs = [
+        SimulationJob.from_isp(isp, count, end_hour, seed) for isp, count in jobs
+    ]
+    results = list(
+        map_streamed(run_simulation_job, sim_jobs, workers=workers, kind="isp_sim")
+    )
+    for (isp, _count), result in zip(jobs, results):
+        result.graft_onto(isp)
+    return [result.timelines for result in results]
+
+
 __all__ = [
     "AssignmentInterval",
     "IspSimulation",
     "SimulationJob",
     "SimulationResult",
     "SubscriberTimeline",
+    "run_isp_simulations",
     "run_simulation_job",
 ]

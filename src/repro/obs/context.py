@@ -2,10 +2,10 @@
 
 A :class:`TraceContext` is the serializable half of a span — the trace
 id plus the id of the span that was open when work left the process.
-The process-pool entry points in :mod:`repro.perf.parallel` capture one
-via :func:`current_trace_context` right before fanning out, ship it to
+The process-pool primitive in :mod:`repro.perf.parallel` captures one
+via :func:`current_trace_context` right before fanning out, ships it to
 every worker through the pool initializer (:func:`set_worker_context`),
-and each task wraps itself in a ``pool/task`` span carrying the
+and wraps each task in a ``pool/task`` span carrying the
 context's ids.  The worker's finished span trees travel back with the
 task result (:meth:`repro.obs.trace.Tracer.pop_roots`) and the parent
 grafts them under its live tree (:func:`adopt_worker_spans`), so a
@@ -98,7 +98,7 @@ _WORKER_CONTEXT: Optional[TraceContext] = None
 def set_worker_context(context: Optional[TraceContext]) -> None:
     """Install the parent's trace context in this worker process.
 
-    Called from pool initializers after telemetry is mirrored; also
+    Called from the pool initializer after telemetry is mirrored; also
     re-tags the worker tracer with the parent's trace id so every
     export from this process names the same trace.
     """

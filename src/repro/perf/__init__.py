@@ -1,6 +1,9 @@
 """The performance engine: parallel fan-out, scenario cache, stage timing.
 
-See ``docs/architecture.md`` ("Performance engine") for the determinism
+:func:`map_streamed` is the one process-pool primitive; the stages that
+fan out call it from the modules that own their data (ISP simulations,
+CDN collection, store shard kernels, fused per-AS analysis).  See
+``docs/architecture.md`` ("Performance engine") for the determinism
 contract and the ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` environment
 knobs.
 """
@@ -15,10 +18,9 @@ from repro.perf.cache import (
 )
 from repro.perf.parallel import (
     WORKERS_ENV,
-    collect_associations,
     effective_workers,
+    map_streamed,
     resolve_workers,
-    run_isp_simulations,
 )
 from repro.perf.profiling import PROFILE_DIR_ENV, PROFILE_ENV, maybe_profile
 from repro.perf.timing import (
@@ -41,14 +43,13 @@ __all__ = [
     "StageTimer",
     "WORKERS_ENV",
     "code_fingerprint",
-    "collect_associations",
     "current_rss_bytes",
     "effective_workers",
     "get_scenario_cache",
+    "map_streamed",
     "maybe_profile",
     "read_baseline",
     "resolve_cache_flag",
     "resolve_workers",
-    "run_isp_simulations",
     "write_baseline",
 ]

@@ -1,31 +1,29 @@
-"""Process-pool fan-out for the independent stages of scenario builds.
+"""Process-pool fan-out: one ordered, bounded-in-flight map.
 
-The scenario builders in :mod:`repro.workloads` spend almost all of
-their time in two embarrassingly parallel stages:
+Every embarrassingly parallel stage of the reproduction fans out through
+:func:`map_streamed`, called from the module that owns the stage's data:
 
-* the per-ISP :class:`~repro.netsim.sim.IspSimulation` runs (each ISP's
-  event queue only touches that ISP's address plans and a private RNG
-  seeded from ``(seed, asn)``), and
-* the per-population CDN association collection (each population draws
-  from its own RNG and only mutates its own ISP's plans).
+* per-ISP simulations (:func:`repro.netsim.sim.run_isp_simulations`),
+* per-population CDN collection
+  (:func:`repro.cdn.collector.collect_associations`),
+* the triple store's shard kernels, segment writers and compaction
+  merges (:func:`repro.store.kernels.analyze_store`,
+  :mod:`repro.store.segments`),
+* the per-AS fused analysis (:func:`repro.core.fused.run_fused_analysis`).
 
-Both stages fan out here.  The determinism contract: a ``workers=N``
-build is **bit-identical** to the serial build for the same seed.  That
-holds because
+The determinism contract: a ``workers=N`` run is **bit-identical** to
+the serial run.  Each unit is seeded independently of scheduling order
+and results come back in submission order, so only the owners' own
+merge logic decides the outcome.
 
-1. shared state (registry, routing table) is only mutated during ISP
-   *construction*, which stays serial and in the original order;
-2. each work unit is seeded independently of scheduling order, and
-   results are merged back in submission order;
-3. worker-side mutations of an ISP's address plans are shipped back and
-   grafted onto the parent's objects, so post-build plan state matches
-   the serial run exactly.
+One pool, one initializer, one worker-state slot: an optional
+``shared`` value is pickled once in the parent and unpickled once per
+worker, then handed to every task.  Nothing falls back to the serial
+path: a task, unit or shared value that cannot be pickled raises out of
+the call.
 
-Anything unpicklable (e.g. an exotic user-supplied config) falls back
-to the serial path — the fallback is a behaviour no-op by construction.
-
-Telemetry crosses the pool boundary in both directions: initializers
-ship the parent's enabled flag and
+Telemetry crosses the pool boundary in both directions: the initializer
+ships the parent's enabled flag and
 :class:`~repro.obs.context.TraceContext`, each task runs inside a
 ``pool/task`` span, and the worker's metric delta + finished span trees
 travel back with the result, merged/stitched in submission order — one
@@ -38,21 +36,10 @@ import multiprocessing
 import os
 import pickle
 from collections import deque
+from collections.abc import Sized
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional
 
-from repro.bgp.registry import Registry
-from repro.bgp.table import RoutingTable
-from repro.cdn.classify import PrefixClassifier
-from repro.cdn.collector import CdnDataset, collect, merge_datasets
-from repro.netsim.isp import Isp
-from repro.netsim.sim import (
-    IspSimulation,
-    SimulationJob,
-    SubscriberTimeline,
-    run_simulation_job,
-)
 from repro.obs import (
     enable_telemetry,
     get_logger,
@@ -98,18 +85,21 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def effective_workers(workers: int, units: int) -> int:
+def effective_workers(workers: Optional[int] = None, units: Optional[int] = None) -> int:
     """Workers actually worth spawning for ``units`` work items.
 
-    Clamps the requested count to the number of units *and* to
-    ``os.cpu_count()``: with a single core (or a single unit) the pool
-    only adds pickling overhead — the shipped baseline measured parallel
-    builds at 0.48x serial on a 1-core host — so the fan-out sites treat
-    an effective count of 1 as "take the serial path".
+    Resolves ``workers`` (:func:`resolve_workers`), then clamps it to
+    ``os.cpu_count()`` and — when the unit count is known — to
+    ``units``: with a single core (or a single unit) a pool only adds
+    pickling overhead, so an effective count of 1 means "run the plain
+    serial loop".
     """
-    if units < 1:
+    if units is not None and units < 1:
         return 1
-    return max(1, min(int(workers), units, os.cpu_count() or 1))
+    limit = os.cpu_count() or 1
+    if units is not None:
+        limit = min(limit, units)
+    return max(1, min(resolve_workers(workers), limit))
 
 
 def _mp_context():
@@ -118,56 +108,53 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _all_picklable(items: Sequence) -> bool:
-    try:
-        for item in items:
-            # Round-trip: classes with custom immutability/__setattr__ can
-            # dump fine yet explode on load inside a worker.
-            pickle.loads(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return False
-    return True
+#: The worker-process state slot: the pool's ``shared`` value, installed
+#: by :func:`_worker_init` (None when the pool has no shared value).
+_worker_shared = None
 
 
-# ---------------------------------------------------------------------------
-# Worker-side telemetry plumbing
-# ---------------------------------------------------------------------------
-
-
-def _worker_telemetry_init(
-    enabled: bool, context: Optional[TraceContext] = None
+def _worker_init(
+    telemetry: bool, context: Optional[TraceContext], shared_blob: Optional[bytes]
 ) -> None:
-    """Pool initializer: mirror the parent's telemetry switch + trace.
+    """Pool initializer: install the shared value and mirror telemetry.
 
-    Under ``fork`` the child inherits the flag anyway; under ``spawn``
-    this is what turns the child's registry on.  When enabled, the
-    inherited tracer is *detached* — a forked child starts with a copy
-    of the parent's finished roots and open-span stack, neither of
-    which this worker should re-ship — and the parent's
+    The shared value arrives pickled and is unpickled once per worker,
+    so a value whose pickle reopens a file by path (a triple store, a
+    saved column arena) is mapped by every worker instead of copied.
+    Under ``fork`` the child inherits the telemetry flag anyway; under
+    ``spawn`` this is what turns the child's registry on.  When
+    enabled, the inherited tracer is *detached* — a forked child starts
+    with a copy of the parent's finished roots and open-span stack,
+    neither of which this worker should re-ship — and the parent's
     :class:`~repro.obs.context.TraceContext` is installed so every span
     the worker records belongs to the parent's trace.
     """
-    if enabled:
+    global _worker_shared
+    if shared_blob is not None:
+        _worker_shared = pickle.loads(shared_blob)
+    if telemetry:
         enable_telemetry()
         get_tracer().detach()
         set_worker_context(context)
 
 
-def _with_worker_metrics(task, unit, *, kind: str):
-    """Run ``task(unit)`` capturing the child's metric delta and spans.
+def _run_task(payload):
+    """Run one unit in a worker, capturing its metric delta and spans.
 
     Returns ``(result, delta_or_None, spans_or_None)``.  The delta is
-    the difference between the child registry before and after the task
-    (a forked child starts with a *copy* of the parent's counts), so
-    merging it in the parent never double-counts.  Each task also
+    the difference between the worker registry before and after the
+    task (a forked child starts with a *copy* of the parent's counts),
+    so merging it in the parent never double-counts.  Each task also
     tallies ``pool.tasks{kind=,worker=}`` — the worker-utilization
     signal — and runs inside a ``pool/task`` span tagged with the
     propagated trace context; the span trees the task finished are
     popped off the worker tracer and shipped back with the result for
     the parent to stitch (:func:`repro.obs.context.adopt_worker_spans`).
     """
+    task, unit, kind = payload
+    args = (unit,) if _worker_shared is None else (_worker_shared, unit)
     if not telemetry_enabled():
-        return task(unit), None, None
+        return task(*args), None, None
     registry = get_registry()
     tracer = get_tracer()
     baseline = len(tracer.roots)
@@ -175,40 +162,9 @@ def _with_worker_metrics(task, unit, *, kind: str):
     metric_inc("pool.tasks", kind=kind, worker=os.getpid())
     attrs = context_attrs(get_worker_context())
     with span("pool/task", kind=kind, worker=os.getpid(), **attrs):
-        result = task(unit)
+        result = task(*args)
     delta = subtract_snapshots(registry.snapshot(), before)
     return result, delta, tracer.pop_roots(baseline)
-
-
-def _run_sim_job_with_metrics(job):
-    return _with_worker_metrics(run_simulation_job, job, kind="isp_sim")
-
-
-def _merge_worker_results(outcomes):
-    """Split ``(result, delta, spans)`` triples, folding both into the parent.
-
-    Deltas merge into the parent registry and span buffers graft under
-    the parent's currently open span — in submission order for both, so
-    the stitched tree and merged counts are deterministic regardless of
-    worker scheduling.
-    """
-    registry = get_registry()
-    results = []
-    for result, delta, spans in outcomes:
-        registry.merge(delta)
-        adopt_worker_spans(spans)
-        results.append(result)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Streamed fan-out over an unbounded unit stream
-# ---------------------------------------------------------------------------
-
-
-def _streamed_unit_task(payload):
-    task, unit, kind = payload
-    return _with_worker_metrics(task, unit, kind=kind)
 
 
 def map_streamed(
@@ -217,405 +173,79 @@ def map_streamed(
     workers: Optional[int] = None,
     kind: str = "stream",
     max_inflight: Optional[int] = None,
+    shared=None,
 ) -> Iterator:
     """Yield ``task(unit)`` results in submission order, bounded fan-out.
 
-    Unlike :func:`map_store_shards`, ``units`` may be an *unbounded*
-    lazily generated stream (e.g. column slabs off a 100M-row synthetic
-    feed): at most ``max_inflight`` (default ``2 * workers``) units are
-    ever pickled into the pool at once, so parent memory stays bounded
-    while unit generation overlaps worker execution.  ``task`` must be
-    a module-level callable (or ``functools.partial`` of one).  Results
-    come back in submission order regardless of completion order, and
-    worker telemetry deltas fold into the parent as each result is
-    drained.  With one effective worker this degrades to the serial
-    loop — the generator must be consumed fully either way.
+    With a ``shared`` value each call is ``task(shared, unit)`` instead:
+    the serial path passes the caller's own object, the pool ships it
+    pickled once per worker.  ``task`` must pickle by reference (a
+    module-level callable or a ``functools.partial`` of one).
+
+    The worker count is :func:`effective_workers` of ``workers``,
+    clamped to ``len(units)`` when ``units`` is sized.  With one
+    effective worker this is a plain loop: nothing is pickled and no
+    ``pool/task`` span is recorded.  Otherwise ``units`` may be an
+    *unbounded* lazily generated stream (e.g. column slabs off a
+    100M-row synthetic feed): at most ``max_inflight`` (default
+    ``2 * workers``) units are in the pool at once, so parent memory
+    stays bounded while unit generation overlaps worker execution.
+    Worker telemetry deltas fold into the parent, and worker spans
+    graft under the caller's open span, as each result is drained.  A
+    task error — including a pickling error — propagates; the units
+    not yet started are cancelled.
     """
     if max_inflight is not None and max_inflight < 1:
         raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-    effective = max(1, min(resolve_workers(workers), os.cpu_count() or 1))
+    effective = effective_workers(
+        workers, len(units) if isinstance(units, Sized) else None
+    )
     if effective <= 1:
         for unit in units:
-            yield task(unit)
+            yield task(unit) if shared is None else task(shared, unit)
         return
+    shared_blob = (
+        None if shared is None else pickle.dumps(shared, pickle.HIGHEST_PROTOCOL)
+    )
     registry = get_registry()
     inflight = max_inflight if max_inflight is not None else 2 * effective
     _log.debug(
-        "fanning out unit stream",
+        "fanning out",
         extra={"workers": effective, "max_inflight": inflight, "kind": kind},
     )
     with ProcessPoolExecutor(
         max_workers=effective,
         mp_context=_mp_context(),
-        initializer=_worker_telemetry_init,
-        initargs=(telemetry_enabled(), current_trace_context()),
+        initializer=_worker_init,
+        initargs=(telemetry_enabled(), current_trace_context(), shared_blob),
     ) as pool:
         pending: deque = deque()
         iterator = iter(units)
         exhausted = False
-        while True:
-            while not exhausted and len(pending) < inflight:
-                try:
-                    unit = next(iterator)
-                except StopIteration:
-                    exhausted = True
+        try:
+            while True:
+                while not exhausted and len(pending) < inflight:
+                    try:
+                        unit = next(iterator)
+                    except StopIteration:
+                        exhausted = True
+                        break
+                    pending.append(pool.submit(_run_task, (task, unit, kind)))
+                if not pending:
                     break
-                pending.append(pool.submit(_streamed_unit_task, (task, unit, kind)))
-            if not pending:
-                break
-            result, delta, spans = pending.popleft().result()
-            registry.merge(delta)
-            adopt_worker_spans(spans)
-            yield result
-
-
-# ---------------------------------------------------------------------------
-# Per-ISP simulation fan-out
-# ---------------------------------------------------------------------------
-
-
-def run_isp_simulations(
-    jobs: Sequence[Tuple[Isp, int]],
-    end_hour: float,
-    seed: int,
-    workers: int = 1,
-) -> List[Dict[int, SubscriberTimeline]]:
-    """Run ``IspSimulation(isp, count, end_hour, seed)`` for every job.
-
-    Returns the timeline dicts in job order.  With ``workers > 1`` the
-    simulations run in a process pool and each worker's post-run address
-    plans are grafted back onto the parent's :class:`Isp` objects, so
-    the outcome is bit-identical to the serial path.
-    """
-    effective = effective_workers(workers, len(jobs))
-    if effective > 1:
-        sim_jobs = [
-            SimulationJob.from_isp(isp, count, end_hour, seed) for isp, count in jobs
-        ]
-        if _all_picklable(sim_jobs):
-            _log.debug(
-                "fanning out ISP simulations",
-                extra={"jobs": len(sim_jobs), "workers": effective},
-            )
-            with ProcessPoolExecutor(
-                max_workers=effective,
-                mp_context=_mp_context(),
-                initializer=_worker_telemetry_init,
-                initargs=(telemetry_enabled(), current_trace_context()),
-            ) as pool:
-                results = _merge_worker_results(
-                    pool.map(_run_sim_job_with_metrics, sim_jobs)
-                )
-            for (isp, _count), result in zip(jobs, results):
-                result.graft_onto(isp)
-            return [result.timelines for result in results]
-        _log.debug("simulation jobs not picklable, using the serial path")
-    return [
-        IspSimulation(isp, count, end_hour, seed=seed).run() for isp, count in jobs
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Per-population CDN collection fan-out
-# ---------------------------------------------------------------------------
-
-#: Worker-process state installed by :func:`_collect_init` (one pickle of the
-#: routing table/registry per worker instead of one per population).
-_COLLECT_STATE: dict = {}
-
-
-def _collect_init(
-    table: RoutingTable,
-    registry: Registry,
-    filter_asn_mismatch: bool,
-    telemetry: bool = False,
-    context: Optional[TraceContext] = None,
-) -> None:
-    _COLLECT_STATE["table"] = table
-    _COLLECT_STATE["registry"] = registry
-    _COLLECT_STATE["filter"] = filter_asn_mismatch
-    _worker_telemetry_init(telemetry, context)
-
-
-def _collect_one_dataset(population) -> CdnDataset:
-    dataset = collect(
-        [population],
-        _COLLECT_STATE["table"],
-        _COLLECT_STATE["registry"],
-        filter_asn_mismatch=_COLLECT_STATE["filter"],
-    )
-    # The classifier only holds lookup caches over worker-side copies of
-    # the table/registry; drop it rather than ship it back.
-    dataset.classifier = None
-    return dataset
-
-
-def _collect_one(population):
-    return _with_worker_metrics(_collect_one_dataset, population, kind="cdn_collect")
-
-
-def collect_associations(
-    populations: Sequence,
-    table: RoutingTable,
-    registry: Registry,
-    filter_asn_mismatch: bool = True,
-    workers: int = 1,
-) -> CdnDataset:
-    """Parallel-aware :func:`repro.cdn.collector.collect`.
-
-    Each population's triples are generated and classified in a worker,
-    then the per-population datasets are merged in population order —
-    yielding the exact per-AS triple lists of the serial path (serial
-    collection appends population by population).
-    """
-    effective = effective_workers(workers, len(populations))
-    if effective > 1 and _all_picklable([table, registry, *populations]):
-        _log.debug(
-            "fanning out CDN collection",
-            extra={"populations": len(populations), "workers": effective},
-        )
-        with ProcessPoolExecutor(
-            max_workers=effective,
-            mp_context=_mp_context(),
-            initializer=_collect_init,
-            initargs=(
-                table,
-                registry,
-                filter_asn_mismatch,
-                telemetry_enabled(),
-                current_trace_context(),
-            ),
-        ) as pool:
-            batches = _merge_worker_results(pool.map(_collect_one, populations))
-        merged = merge_datasets(batches)
-        merged.classifier = PrefixClassifier(table, registry)
-        return merged
-    return collect(
-        populations, table, registry, filter_asn_mismatch=filter_asn_mismatch
-    )
-
-
-# ---------------------------------------------------------------------------
-# Zero-copy triple-store shard fan-out
-# ---------------------------------------------------------------------------
-
-#: Worker-process store handle installed by :func:`_store_worker_init`.
-_STORE_STATE: dict = {}
-
-
-def _store_worker_init(
-    directory: str, telemetry: bool, context: Optional[TraceContext] = None
-) -> None:
-    """Pool initializer: each worker opens the store by *path*.
-
-    The worker memory-maps shard columns straight off disk, so the
-    parent never pickles an array into the pool — the only bytes that
-    cross the process boundary are the directory string here and the
-    (task, shard index) pair per work unit.
-    """
-    from repro.store.triples import TripleStore
-
-    _STORE_STATE["store"] = TripleStore.open(directory)
-    _worker_telemetry_init(telemetry, context)
-
-
-def _store_shard_task(unit):
-    task, index = unit
-    return _with_worker_metrics(
-        lambda shard_index: task(_STORE_STATE["store"], shard_index),
-        index,
-        kind="store_shard",
-    )
-
-
-def _discard_scratch_files(scratch) -> None:
-    """Best-effort removal of the files inside a scratch directory.
-
-    The directory itself is left in place — it belongs to the caller —
-    but any partial per-shard outputs written before a failure are
-    unlinked so a retried pass never memmaps stale runs.
-    """
-    if scratch is None:
-        return
-    try:
-        children = list(Path(scratch).iterdir())
-    except OSError:
-        return
-    for child in children:
-        try:
-            child.unlink()
-        except OSError:
-            pass
-
-
-def map_store_shards(
-    task, store, workers: Optional[int] = None, scratch=None
-) -> List:
-    """Run ``task(store, shard_index)`` over every shard of a triple store.
-
-    ``task`` must be a module-level callable (or a ``functools.partial``
-    of one) so it pickles by reference.  The handoff is zero-copy in
-    both directions by convention: workers map shard columns from the
-    store path (installed once per worker by the pool initializer) and
-    should write any large intermediate arrays to scratch files for the
-    parent to memmap, returning only small metadata.  Results come back
-    in shard-index order, so the reduction is deterministic regardless
-    of scheduling.  With one core/shard/worker this degrades to the
-    serial loop.
-
-    ``scratch`` names the directory those intermediates land in: when a
-    task raises mid-pool, the files completed shards already wrote
-    there are deleted before the exception propagates, instead of being
-    leaked into the temp dir for the caller to trip over.
-    """
-    effective = effective_workers(resolve_workers(workers), store.shards)
-    try:
-        if effective > 1:
-            _log.debug(
-                "fanning out store shards",
-                extra={"shards": store.shards, "workers": effective},
-            )
-            with ProcessPoolExecutor(
-                max_workers=effective,
-                mp_context=_mp_context(),
-                initializer=_store_worker_init,
-                initargs=(
-                    str(store.directory),
-                    telemetry_enabled(),
-                    current_trace_context(),
-                ),
-            ) as pool:
-                return _merge_worker_results(
-                    pool.map(
-                        _store_shard_task, [(task, i) for i in range(store.shards)]
-                    )
-                )
-        return [task(store, index) for index in range(store.shards)]
-    except Exception:
-        _discard_scratch_files(scratch)
-        raise
-
-
-# ---------------------------------------------------------------------------
-# Zero-copy fused-analysis fan-out
-# ---------------------------------------------------------------------------
-
-#: Worker-process pack handle installed by :func:`_fused_worker_init`.
-_FUSED_STATE: dict = {}
-
-
-def _fused_worker_init(
-    arena_path: str, table, telemetry: bool, context: Optional[TraceContext] = None
-) -> None:
-    """Pool initializer: each worker maps the probe pack by *path*.
-
-    The arena is opened as a read-only memmap, so every worker (and the
-    parent) shares the pack's pages — no column array is ever pickled
-    into the pool; the only per-task bytes are the ``(name, asn,
-    country)`` group tuple in and the small artifact objects out.
-    """
-    from repro.core.analysis_np import ProbeColumns
-
-    _FUSED_STATE["columns"] = ProbeColumns.from_arena(arena_path)
-    _FUSED_STATE["table"] = table
-    _worker_telemetry_init(telemetry, context)
-
-
-def _fused_group_artifacts(group):
-    """One AS's artifacts from the worker's memmapped pack.
-
-    Selecting the AS's probes out of the global pack and running the
-    fused pass over the sub-pack is bit-identical to masking the global
-    fused stats: every artifact is per-probe local and the CSR gather
-    preserves probe order.
-    """
-    from repro.core import fused
-
-    import numpy as np
-
-    name, asn, country = group
-    columns = _FUSED_STATE["columns"]
-    sub = columns.select(np.flatnonzero(columns.asns() == asn))
-    stats = fused.fused_probe_stats(sub)
-    table = _FUSED_STATE["table"]
-    result = {
-        "table1": fused.table1_from_stats(stats, name, asn, country),
-        "figure1": fused.figure1_from_stats(stats, name),
-        "figure5": fused.figure5_from_stats(stats),
-    }
-    if table is not None:
-        result["table2"] = fused.table2_from_stats(stats, table)
-    return result
-
-
-def _fused_group_task(group):
-    return _with_worker_metrics(_fused_group_artifacts, group, kind="fused_analysis")
-
-
-def run_fused_analysis(
-    columns,
-    groups: Sequence[Tuple[str, int, str]],
-    table: Optional[RoutingTable] = None,
-    workers: Optional[int] = None,
-) -> Dict[str, dict]:
-    """Fan the fused per-AS analysis out over a pool, zero-copy.
-
-    The parent saves ``columns`` (a
-    :class:`repro.core.analysis_np.ProbeColumns`) as one arena file and
-    ships only its *path* to the pool; workers memory-map the pack and
-    return small artifact objects, merged in ``groups`` order.  Returns
-    the same ``{"table1", "table2", "figure1", "figure5"}`` dicts as
-    :func:`repro.core.fused.fused_analysis_artifacts`, bit-identically —
-    with one worker (or an unpicklable table) it *is* that serial call.
-    """
-    import shutil
-    import tempfile
-
-    effective = effective_workers(resolve_workers(workers), len(groups))
-    if effective > 1 and (table is None or _all_picklable([table])):
-        _log.debug(
-            "fanning out fused analysis",
-            extra={"groups": len(groups), "workers": effective},
-        )
-        scratch = tempfile.mkdtemp(prefix="repro-fused-")
-        try:
-            arena_path = columns.save_arena(os.path.join(scratch, "probes.arena"))
-            with ProcessPoolExecutor(
-                max_workers=effective,
-                mp_context=_mp_context(),
-                initializer=_fused_worker_init,
-                initargs=(
-                    str(arena_path),
-                    table,
-                    telemetry_enabled(),
-                    current_trace_context(),
-                ),
-            ) as pool:
-                per_group = _merge_worker_results(pool.map(_fused_group_task, groups))
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
-        merged: Dict[str, dict] = {
-            "table1": {},
-            "table2": {},
-            "figure1": {},
-            "figure5": {},
-        }
-        for (name, _asn, _country), artifacts in zip(groups, per_group):
-            for kind, value in artifacts.items():
-                merged[kind][name] = value
-        return merged
-    from repro.core.fused import fused_analysis_artifacts
-
-    return fused_analysis_artifacts(columns, groups, table)
+                result, delta, spans = pending.popleft().result()
+                registry.merge(delta)
+                adopt_worker_spans(spans)
+                yield result
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
 
 
 __all__ = [
     "WORKERS_ENV",
-    "collect_associations",
     "effective_workers",
-    "map_store_shards",
     "map_streamed",
     "resolve_workers",
-    "run_fused_analysis",
-    "run_isp_simulations",
 ]

@@ -6,7 +6,7 @@ are computed shard by shard so peak memory tracks the largest *shard*,
 not the store:
 
 1. **Per-shard pass** (:func:`sort_shard_to_scratch`, fanned out via
-   :func:`repro.perf.parallel.map_store_shards`): memmap one shard,
+   :func:`repro.perf.parallel.map_streamed`): memmap one shard,
    sort it ``(v6, day, v4)`` into scratch column files (one packed-key
    sort, :func:`repro.core.sortkeys.sort_rows`; canonical stores are
    already in that order and skip it), and drop the shard's degree
@@ -53,6 +53,7 @@ from repro.core.associations_np import (
 from repro.core.delegation import TrailingZeroProfile, trailing_zero_profile_np
 from repro.core.sortkeys import sort_rows
 from repro.obs import get_logger, metric_inc, metric_observe, span
+from repro.perf.parallel import map_streamed
 from repro.store.triples import TripleStore
 
 _log = get_logger("store.kernels")
@@ -330,6 +331,24 @@ class StoreAnalysis:
         }
 
 
+def _discard_scratch_files(scratch: Path) -> None:
+    """Best-effort removal of the files inside a scratch directory.
+
+    The directory itself is left in place — it may belong to the
+    caller — but any partial per-shard outputs written before a failure
+    are unlinked so a retried pass never memmaps stale runs.
+    """
+    try:
+        children = list(scratch.iterdir())
+    except OSError:
+        return
+    for child in children:
+        try:
+            child.unlink()
+        except OSError:
+            pass
+
+
 def analyze_store(
     store: TripleStore,
     workers: Optional[int] = None,
@@ -340,12 +359,13 @@ def analyze_store(
 
     ``scratch_dir`` (default: a fresh temp directory, removed on exit)
     holds the sorted runs and degree partials; its peak size is about
-    one store's worth of columns plus the partials.  ``workers`` fans
-    the per-shard pass out via
-    :func:`repro.perf.parallel.map_store_shards`.
+    one store's worth of columns plus the partials.  When a shard task
+    raises, the partial runs already written there are deleted before
+    the error propagates.  ``workers`` fans the per-shard pass out via
+    :func:`repro.perf.parallel.map_streamed`, zero-copy: the store
+    pickles as its path, so each worker reopens and memmaps it, and
+    only small per-shard metadata comes back.
     """
-    from repro.perf.parallel import map_store_shards
-
     own_scratch = scratch_dir is None
     scratch = Path(tempfile.mkdtemp(prefix="repro-store-")) if own_scratch else Path(scratch_dir)
     if not own_scratch:
@@ -353,8 +373,19 @@ def analyze_store(
     try:
         with span("store/analyze", shards=store.shards, rows=store.total_triples):
             task = partial(sort_shard_to_scratch, scratch=str(scratch))
-            results = map_store_shards(task, store, workers=workers, scratch=scratch)
-            results.sort(key=lambda meta: meta["shard"])
+            try:
+                results = list(
+                    map_streamed(
+                        task,
+                        range(store.shards),
+                        workers=workers,
+                        kind="store_shard",
+                        shared=store,
+                    )
+                )
+            except Exception:
+                _discard_scratch_files(scratch)
+                raise
             shard_rows = [meta["rows"] for meta in results]
 
             histogram = merged_duration_histogram(

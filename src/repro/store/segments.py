@@ -45,6 +45,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs import get_logger, metric_inc, span
+from repro.perf.parallel import map_streamed
 from repro.store.triples import (
     COLUMN_DTYPES,
     COLUMNS,
@@ -295,8 +296,6 @@ def compact_sources(
     writer, a killed compaction leaves no manifest and therefore no
     openable store.
     """
-    from repro.perf.parallel import map_streamed
-
     directory = Path(directory).expanduser()
     if directory.exists():
         raise FileExistsError(f"store directory already exists: {directory}")
@@ -449,8 +448,6 @@ def parallel_build_store(
     )
     if rows_per_segment < 1:
         raise ValueError(f"segment_rows must be >= 1, got {rows_per_segment}")
-    from repro.perf.parallel import map_streamed
-
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(
         tempfile.mkdtemp(

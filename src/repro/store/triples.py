@@ -27,7 +27,7 @@ miss so the caller rebuilds instead of silently analyzing garbage.
 Readers memory-map the column files (``np.memmap``), so analysis
 kernels and worker processes page in only what they touch and share
 clean pages through the OS cache — the zero-copy handoff used by
-:func:`repro.perf.parallel.map_store_shards`.
+:func:`repro.perf.parallel.map_streamed`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.associations import Triple
 from repro.core.sortkeys import sort_rows
 from repro.obs import get_logger, metric_inc, span
+from repro.perf.parallel import effective_workers
 
 _log = get_logger("store")
 
@@ -471,6 +472,10 @@ class TripleStore:
         self.day_min: Optional[int] = manifest["day_min"]
         self.day_max: Optional[int] = manifest["day_max"]
 
+    def __reduce__(self):
+        """Pickle as the directory path: unpickling reopens (and memmaps) it."""
+        return (TripleStore.open, (str(self.directory),))
+
     # -- opening / validation ------------------------------------------------
 
     @classmethod
@@ -701,9 +706,7 @@ def build_store_from_columns(
     finalize in canonical row order, so they produce the same
     :meth:`TripleStore.digest` for the same input.
     """
-    from repro.perf.parallel import effective_workers, resolve_workers
-
-    if effective_workers(resolve_workers(workers), units=1 << 30) > 1:
+    if effective_workers(workers) > 1:
         from repro.store.segments import parallel_build_store
 
         return parallel_build_store(

@@ -41,7 +41,7 @@ from repro.cdn.clients import (
     MobilePopulation,
     cdn_fixed_config,
 )
-from repro.cdn.collector import CdnDataset
+from repro.cdn.collector import CdnDataset, collect_associations
 from repro.netsim.cpe import CpeBehavior
 from repro.netsim.isp import Isp, IspConfig, V4AddressingConfig, V6AddressingConfig
 from repro.netsim.policy import ChangePolicy
@@ -50,14 +50,10 @@ from repro.netsim.profiles import (
     default_profiles,
     mobile_profile,
 )
-from repro.netsim.sim import SubscriberTimeline
+from repro.netsim.sim import SubscriberTimeline, run_isp_simulations
 from repro.obs import get_logger, span
 from repro.perf.cache import get_scenario_cache, resolve_cache_flag
-from repro.perf.parallel import (
-    collect_associations,
-    resolve_workers,
-    run_isp_simulations,
-)
+from repro.perf.parallel import resolve_workers
 
 _log = get_logger("workloads")
 
@@ -178,9 +174,10 @@ def analyze_atlas_scenario(
     ``workers`` only applies to the fused engine: with ``workers > 1``
     the per-AS assembly fans out over a process pool that memory-maps
     the scenario's arena-backed pack by path
-    (:func:`repro.perf.parallel.run_fused_analysis`) — zero-copy, and
+    (:func:`repro.core.fused.run_fused_analysis`) — zero-copy, and
     bit-identical to the serial fused run.
     """
+    from repro.core.fused import run_fused_analysis
     from repro.core.report import (
         figure1_for_as,
         figure5_for_as,
@@ -197,16 +194,9 @@ def analyze_atlas_scenario(
             (name, isp.asn, isp.config.country) for name, isp in scenario.isps.items()
         ]
         with span("analysis/report", engine=resolved, networks=len(groups)):
-            if resolve_workers(workers) > 1:
-                from repro.perf.parallel import run_fused_analysis
-
-                artifacts = run_fused_analysis(
-                    columns, groups, scenario.table, workers=workers
-                )
-            else:
-                from repro.core.fused import fused_analysis_artifacts
-
-                artifacts = fused_analysis_artifacts(columns, groups, scenario.table)
+            artifacts = run_fused_analysis(
+                columns, groups, scenario.table, workers=workers
+            )
         return AtlasAnalysis(
             engine=resolved,
             table1=artifacts["table1"],

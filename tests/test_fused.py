@@ -40,7 +40,7 @@ from repro.core.report import (  # noqa: E402
 )
 from repro.ip.addr import IPv4Address, IPv6Address  # noqa: E402
 from repro.ip.prefix import IPv4Prefix, IPv6Prefix  # noqa: E402
-from repro.perf.parallel import run_fused_analysis  # noqa: E402
+from repro.core.fused import run_fused_analysis  # noqa: E402
 
 pytestmark = pytest.mark.fused
 

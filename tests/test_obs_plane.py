@@ -331,6 +331,125 @@ class TestStitching:
         assert serial_networks == pooled_tasks == len(scenario.isps)
 
 
+def _run_isp_sims(scenario, tmp_path):
+    from repro.bgp.registry import Registry
+    from repro.bgp.table import RoutingTable
+    from repro.netsim.isp import Isp
+    from repro.netsim.profiles import default_profiles
+    from repro.netsim.sim import run_isp_simulations
+
+    registry, table = Registry(), RoutingTable()
+    jobs = [(Isp(config, registry, table), 2) for config in default_profiles()[:3]]
+    run_isp_simulations(jobs, 24.0, seed=1, workers=2)
+    return len(jobs)
+
+
+class _NoTriples:
+    def triples(self):
+        return []
+
+
+def _run_cdn_collect(scenario, tmp_path):
+    from repro.cdn.collector import collect_associations
+
+    populations = [_NoTriples() for _ in range(3)]
+    collect_associations(populations, scenario.table, scenario.registry, workers=2)
+    return len(populations)
+
+
+def _pool_triples():
+    return [(day % 30, (day % 7) << 8, ((day * 31) % 97 + 1) << 64) for day in range(120)]
+
+
+def _run_store_shard(scenario, tmp_path):
+    from repro.store import analyze_store, build_store_from_triples
+
+    store = build_store_from_triples(_pool_triples(), tmp_path / "store", shards=3)
+    analyze_store(store, workers=2)
+    return store.shards
+
+
+def _segment_batches():
+    import numpy as np
+
+    days, v4, v6 = (np.asarray(column) for column in zip(*_pool_triples()))
+    columns = (days.astype(np.uint16), v4.astype(np.uint32), (v6 >> 64).astype(np.uint64))
+    return [tuple(column[start:start + 40] for column in columns) for start in (0, 40, 80)]
+
+
+def _run_store_segment(scenario, tmp_path):
+    from repro.store.segments import parallel_build_store
+
+    parallel_build_store(
+        _segment_batches(), tmp_path / "built", shards=2, workers=2, segment_rows=40
+    )
+    return 3  # three 40-row batches, one segment each
+
+
+def _run_store_compact(scenario, tmp_path):
+    from repro.store import build_store_from_triples
+    from repro.store.segments import ShardSource, compact_sources
+
+    store = build_store_from_triples(_pool_triples(), tmp_path / "store", shards=2)
+    source = ShardSource(str(store.directory), store.shards, tuple(store.shard_rows))
+    compact_sources([source], tmp_path / "compacted", 4, workers=2)
+    return 4
+
+
+def _run_fused_analysis(scenario, tmp_path):
+    from repro.core.fused import run_fused_analysis
+
+    groups = [
+        (name, isp.asn, isp.config.country) for name, isp in scenario.isps.items()
+    ]
+    run_fused_analysis(scenario.analysis_columns(None), groups, scenario.table, workers=2)
+    return len(groups)
+
+
+POOLED_STAGES = {
+    "isp_sim": _run_isp_sims,
+    "cdn_collect": _run_cdn_collect,
+    "store_shard": _run_store_shard,
+    "store_segment": _run_store_segment,
+    "store_compact": _run_store_compact,
+    "fused_analysis": _run_fused_analysis,
+}
+
+
+def _walk(node):
+    yield node
+    for child in node.get("children", ()):
+        yield from _walk(child)
+
+
+class TestPoolTelemetry:
+    @pytest.mark.parametrize("kind", sorted(POOLED_STAGES))
+    def test_stage_counts_tasks_and_stitches_spans(
+        self, kind, scenario, fan_out, tmp_path
+    ):
+        from repro.obs import span
+
+        with telemetry(True, reset=True):
+            with span("caller"):
+                units = POOLED_STAGES[kind](scenario, tmp_path)
+            snap = telemetry_snapshot()
+        series = snap["metrics"]["counters"]["pool.tasks"]
+        assert sum(
+            count for key, count in series.items() if f"kind={kind}," in key + ","
+        ) == units
+        assert len(snap["spans"]) == 1
+        root = snap["spans"][0]
+        assert root["name"] == "caller"
+        tasks = [
+            node for node in _walk(root)
+            if node["name"] == "pool/task" and node["attrs"]["kind"] == kind
+        ]
+        assert len(tasks) == units
+        for task in tasks:
+            assert task["attrs"]["worker"] != os.getpid()
+            assert task["attrs"]["trace_id"] == snap["trace_id"]
+
+
 # ---------------------------------------------------------------------------
 # Serve observability plane
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ from repro.perf.cache import (
     get_scenario_cache,
     resolve_cache_flag,
 )
+from repro.cdn.collector import collect_associations
+from repro.netsim.sim import run_isp_simulations
 from repro.perf.parallel import (
     WORKERS_ENV,
-    collect_associations,
     effective_workers,
-    map_store_shards,
     map_streamed,
     resolve_workers,
-    run_isp_simulations,
 )
 from repro.perf.timing import StageTimer, read_baseline, write_baseline
 from repro.perf.verify import (
@@ -78,38 +77,33 @@ def test_run_isp_simulations_grafts_plans_back():
             assert isp.v6_plan.in_use_count == other.v6_plan.in_use_count
 
 
-def test_unpicklable_jobs_fall_back_to_serial():
-    class Unpicklable:
-        def __reduce__(self):
-            raise TypeError("nope")
+class _Unpicklable:
+    def __reduce__(self):
+        raise TypeError("nope")
 
-    sentinel = Unpicklable()
+
+def _times(shared, value):
+    return shared * value
+
+
+def test_unpicklable_work_raises(monkeypatch):
+    """A pooled call whose work cannot be pickled fails; it never runs serially."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     class FakeIsp:
-        config = sentinel
+        config = _Unpicklable()
         v4_plan = None
         v6_plan = None
         asn = 1
 
-    captured = []
-
-    class FakeSim:
-        def __init__(self, isp, count, end_hour, seed):
-            captured.append((isp, count, end_hour, seed))
-
-        def run(self):
-            return {"serial": True}
-
-    import repro.perf.parallel as parallel_mod
-
-    original = parallel_mod.IspSimulation
-    parallel_mod.IspSimulation = FakeSim
-    try:
-        results = run_isp_simulations([(FakeIsp(), 3)], 24.0, seed=9, workers=4)
-    finally:
-        parallel_mod.IspSimulation = original
-    assert results == [{"serial": True}]
-    assert captured and captured[0][1:] == (3, 24.0, 9)
+    with pytest.raises(TypeError, match="nope"):
+        run_isp_simulations([(FakeIsp(), 3), (FakeIsp(), 3)], 24.0, seed=9, workers=2)
+    with pytest.raises(TypeError, match="nope"):
+        list(map_streamed(_square, [1, _Unpicklable()], workers=2))
+    with pytest.raises(TypeError, match="nope"):
+        list(map_streamed(_times, [1, 2], workers=2, shared=_Unpicklable()))
+    with pytest.raises(AttributeError, match="pickle"):
+        list(map_streamed(lambda value: value, [1, 2], workers=2))
 
 
 def test_resolve_workers(monkeypatch):
@@ -138,45 +132,88 @@ def test_effective_workers_clamps_to_cores(monkeypatch):
     assert effective_workers(4, 10) == 1  # unknown core count: stay serial
 
 
+class _BoomPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("process pool must not start")
+
+
+def _forbid_pool(monkeypatch):
+    import repro.perf.parallel as parallel_mod
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _BoomPool)
+
+
+def _tiny_isps(count):
+    from repro.bgp.registry import Registry
+    from repro.bgp.table import RoutingTable
+    from repro.netsim.isp import Isp
+    from repro.netsim.profiles import default_profiles
+
+    registry, table = Registry(), RoutingTable()
+    return [Isp(config, registry, table) for config in default_profiles()[:count]]
+
+
+class _EmptyPopulation:
+    def triples(self):
+        return []
+
+
 def test_single_core_simulations_take_serial_path(monkeypatch):
     """Regression: a 1-core host must never pay process-pool overhead
     (the shipped baseline measured parallel at 0.48x serial there)."""
-    import repro.perf.parallel as parallel_mod
-
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-
-    class BoomPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("process pool must not start on one core")
-
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BoomPool)
-
-    class FakeSim:
-        def __init__(self, isp, count, end_hour, seed):
-            pass
-
-        def run(self):
-            return {"serial": True}
-
-    monkeypatch.setattr(parallel_mod, "IspSimulation", FakeSim)
-    results = run_isp_simulations([(object(), 2)], 24.0, seed=1, workers=4)
-    assert results == [{"serial": True}]
+    _forbid_pool(monkeypatch)
+    isps = _tiny_isps(2)
+    results = run_isp_simulations([(isp, 2) for isp in isps], 24.0, seed=1, workers=4)
+    assert len(results) == 2 and all(len(timelines) == 2 for timelines in results)
 
 
 def test_single_core_collection_takes_serial_path(monkeypatch):
-    import repro.perf.parallel as parallel_mod
+    from repro.bgp.registry import Registry
+    from repro.bgp.table import RoutingTable
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _forbid_pool(monkeypatch)
+    populations = [_EmptyPopulation(), _EmptyPopulation()]
+    result = collect_associations(populations, RoutingTable(), Registry(), workers=4)
+    assert result.total_collected == 0
+    assert result.classifier is not None
 
-    class BoomPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("process pool must not start on one core")
 
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BoomPool)
-    sentinel = object()
-    monkeypatch.setattr(parallel_mod, "collect", lambda *a, **k: sentinel)
-    result = collect_associations([object()], None, None, workers=4)
-    assert result is sentinel
+def test_one_unit_never_starts_a_pool(monkeypatch, tmp_path):
+    """A sized unit list shorter than the worker count clamps the pool
+    away: one unit always runs the plain serial loop, on any host."""
+    from repro.bgp.registry import Registry
+    from repro.bgp.table import RoutingTable
+    from repro.core.analysis_np import ProbeColumns
+    from repro.core.fused import run_fused_analysis
+    from repro.store import analyze_store, build_store_from_triples
+    from repro.store.segments import ShardSource, compact_sources
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _forbid_pool(monkeypatch)
+    assert list(map_streamed(_square, [3], workers=4)) == [9]
+    (isp,) = _tiny_isps(1)
+    assert len(run_isp_simulations([(isp, 2)], 24.0, seed=1, workers=4)[0]) == 2
+    dataset = collect_associations(
+        [_EmptyPopulation()], RoutingTable(), Registry(), workers=4
+    )
+    assert dataset.total_collected == 0
+
+    triples = [(day, (day % 5) << 8, (day + 1) << 64) for day in range(40)]
+    store = build_store_from_triples(triples, tmp_path / "store", shards=1)
+    assert analyze_store(store, workers=4).total_triples == len(triples)
+    source = ShardSource(str(store.directory), 1, tuple(store.shard_rows))
+    compacted = compact_sources([source], tmp_path / "compacted", 1, workers=4)
+    assert compacted.digest() == store.digest()
+
+    scenario = build_atlas_scenario(seed=3, workers=1, cache=False, **ATLAS_SCALE)
+    name, isp = next(iter(scenario.isps.items()))
+    columns = ProbeColumns(scenario.probes_in(isp.asn))
+    artifacts = run_fused_analysis(
+        columns, [(name, isp.asn, isp.config.country)], scenario.table, workers=4
+    )
+    assert set(artifacts["table1"]) == {name}
 
 
 def test_collect_associations_serial_and_parallel_agree():
@@ -266,13 +303,14 @@ def _boom_task(store, index, scratch):
     return index
 
 
-def test_map_store_shards_discards_scratch_on_serial_failure(tmp_path):
-    import functools
+def test_map_store_shards_discards_scratch_on_serial_failure(tmp_path, monkeypatch):
+    """analyze_store's shard pass: a failing task leaves no partial runs."""
+    from repro.store import kernels
 
     store, scratch = _build_scratch_store(tmp_path)
-    task = functools.partial(_boom_task, scratch=str(scratch))
+    monkeypatch.setattr(kernels, "sort_shard_to_scratch", _boom_task)
     with pytest.raises(RuntimeError, match="shard task failed"):
-        map_store_shards(task, store, workers=1, scratch=scratch)
+        kernels.analyze_store(store, workers=1, scratch_dir=scratch)
     # The completed shards' partial runs are gone; the directory (owned
     # by the caller) survives for the retry.
     assert scratch.is_dir()
@@ -280,13 +318,13 @@ def test_map_store_shards_discards_scratch_on_serial_failure(tmp_path):
 
 
 def test_map_store_shards_discards_scratch_on_pool_failure(tmp_path, monkeypatch):
-    import functools
+    from repro.store import kernels
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     store, scratch = _build_scratch_store(tmp_path)
-    task = functools.partial(_boom_task, scratch=str(scratch))
+    monkeypatch.setattr(kernels, "sort_shard_to_scratch", _boom_task)
     with pytest.raises(RuntimeError, match="shard task failed"):
-        map_store_shards(task, store, workers=2, scratch=scratch)
+        kernels.analyze_store(store, workers=2, scratch_dir=scratch)
     assert scratch.is_dir()
     assert list(scratch.iterdir()) == []
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.perf.parallel import map_store_shards
+from repro.perf.parallel import map_streamed
 from repro.perf.verify import assert_store_equal
 from repro.store import (
     COLUMN_DTYPES,
@@ -294,13 +294,19 @@ class TestZeroCopyHandoff:
         assert pooled.delegation == serial.delegation
 
     def test_map_store_shards_passes_paths_not_arrays(self, tmp_path, monkeypatch):
-        # Workers reopen the store by path; the task receives the
-        # worker-local TripleStore, and results come back in shard order.
+        # analyze_store ships the store as the pool's shared value: it
+        # pickles as its path, so workers reopen it and the task receives
+        # the worker-local TripleStore; results come back in shard order.
         store = build_store_from_triples(
             _example_triples(300), tmp_path / "store", shards=3
         )
+        assert store.__reduce__() == (TripleStore.open, (str(store.directory),))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        rows = map_store_shards(_shard_row_task, store, workers=2)
+        rows = list(
+            map_streamed(
+                _shard_row_task, range(store.shards), workers=2, shared=store
+            )
+        )
         assert rows == [
             {"shard": index, "rows": count}
             for index, count in enumerate(store.shard_rows)
