@@ -580,8 +580,10 @@ class _PackedIntervals:
 def _pack_intervals(intervals: Sequence, family: int) -> _PackedIntervals:
     """Pack assignment intervals for searchsorted clipping.
 
-    Raises ``ValueError`` on out-of-order intervals (the reference path
-    has no ordering requirement, so the caller falls back to it).
+    Raises ``ValueError`` on out-of-order intervals: the searchsorted
+    clipping needs time order, and no caller catches the error, so a
+    disordered timeline fails the collection instead of falling back
+    to the reference path.
     """
     count = len(intervals)
     cstart = np.fromiter((_ceil(i.start) for i in intervals), dtype=np.int64, count=count)

@@ -14,18 +14,28 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.bgp.registry import AccessKind, RIR, Registry
 from repro.bgp.table import RoutingTable
 from repro.cdn.classify import PrefixClassifier
 from repro.core.associations import Triple
+from repro.core.associations_np import TripleColumns
 from repro.perf.parallel import map_streamed
 
 
 @dataclass
 class CdnDataset:
-    """Clean association triples grouped by origin AS."""
+    """Clean association triples grouped by origin AS.
 
-    triples_by_asn: Dict[int, List[Triple]] = field(default_factory=dict)
+    Each AS's triples are one :class:`~repro.core.associations_np.TripleColumns`
+    (read-only ``days``/``v4``/``v6`` arrays, built once at collection),
+    so the columnar kernels take them without a conversion, while the
+    pure-Python reference iterates them as ``(day, v4_key, v6_key)``
+    tuples.  The queries below concatenate arrays and never copy tuples.
+    """
+
+    triples_by_asn: Dict[int, TripleColumns] = field(default_factory=dict)
     classifier: Optional[PrefixClassifier] = None
     total_collected: int = 0
     discarded_asn_mismatch: int = 0
@@ -34,57 +44,53 @@ class CdnDataset:
     def total_kept(self) -> int:
         return sum(len(triples) for triples in self.triples_by_asn.values())
 
-    def all_triples(self) -> List[Triple]:
-        """Every kept triple across all ASes (flattened copy)."""
-        return list(self.iter_triples())
+    def all_triples(self) -> TripleColumns:
+        """Every kept triple across all ASes, in per-AS insertion order."""
+        return TripleColumns.concat(self.triples_by_asn.values())
 
     def iter_triples(self) -> Iterator[Triple]:
         """Lazily yield every kept triple, in per-AS insertion order.
 
-        Same sequence as :meth:`all_triples` without the flattened
-        copy — the right feed for streaming sinks (CSV writers, the
-        sharded triple store) where the dataset is already the largest
-        object in memory.
+        Same sequence as :meth:`all_triples` as tuples, one AS at a
+        time — the feed for tuple sinks such as the CSV writer.
         """
         for triples in self.triples_by_asn.values():
             yield from triples
 
-    def triples_for(self, asn: int) -> List[Triple]:
+    def triples_for(self, asn: int) -> TripleColumns:
         """Kept triples whose origin AS is ``asn`` (empty when absent)."""
-        return self.triples_by_asn.get(asn, [])
+        triples = self.triples_by_asn.get(asn)
+        return TripleColumns.concat([]) if triples is None else triples
 
-    def triples_by_kind(self, kind: AccessKind) -> List[Triple]:
+    def triples_by_kind(self, kind: AccessKind) -> TripleColumns:
         """All triples from ASes of the given access kind."""
         if self.classifier is None:
             raise ValueError("dataset has no classifier attached")
-        merged: List[Triple] = []
-        for asn, triples in self.triples_by_asn.items():
-            if self.classifier.kind_of_asn(asn) is kind:
-                merged.extend(triples)
-        return merged
+        return TripleColumns.concat(
+            triples
+            for asn, triples in self.triples_by_asn.items()
+            if self.classifier.kind_of_asn(asn) is kind
+        )
 
-    def triples_by_rir(self, rir: RIR, kind: Optional[AccessKind] = None) -> List[Triple]:
+    def triples_by_rir(self, rir: RIR, kind: Optional[AccessKind] = None) -> TripleColumns:
         """Triples whose /64 is delegated by the given RIR (and kind)."""
         if self.classifier is None:
             raise ValueError("dataset has no classifier attached")
-        merged: List[Triple] = []
+        parts = []
         for asn, triples in self.triples_by_asn.items():
             if kind is not None and self.classifier.kind_of_asn(asn) is not kind:
                 continue
             if not triples:
                 continue
-            sample_v6 = triples[0][2]
+            sample_v6 = int(triples.v6[0]) << 64
             if self.classifier.rir_of_v6_key(sample_v6) is rir:
-                merged.extend(triples)
-        return merged
+                parts.append(triples)
+        return TripleColumns.concat(parts)
 
     def unique_v6_keys(self, asn: Optional[int] = None) -> set:
-        """Distinct /64 keys, optionally restricted to one AS."""
-        keys = set()
-        sources = [self.triples_by_asn[asn]] if asn is not None else self.triples_by_asn.values()
-        for triples in sources:
-            keys.update(v6_key for _day, _v4, v6_key in triples)
-        return keys
+        """Distinct /64 keys (full 128-bit ints), optionally of one AS."""
+        triples = self.triples_by_asn[asn] if asn is not None else self.all_triples()
+        return {key << 64 for key in np.unique(triples.v6).tolist()}
 
 
 def collect(
@@ -123,22 +129,26 @@ def _classified(
                 dataset.discarded_asn_mismatch += 1
                 continue
             grouped[asn_v6].append(triple)
-    dataset.triples_by_asn = dict(grouped)
+    dataset.triples_by_asn = {
+        asn: TripleColumns.from_triples(triples) for asn, triples in grouped.items()
+    }
     return dataset
 
 
 def merge_datasets(datasets: Iterable[CdnDataset]) -> CdnDataset:
     """Combine datasets collected in batches (keeps the first classifier)."""
     merged = CdnDataset()
-    grouped: Dict[int, List[Triple]] = defaultdict(list)
+    grouped: Dict[int, List[TripleColumns]] = defaultdict(list)
     for dataset in datasets:
         if merged.classifier is None:
             merged.classifier = dataset.classifier
         merged.total_collected += dataset.total_collected
         merged.discarded_asn_mismatch += dataset.discarded_asn_mismatch
         for asn, triples in dataset.triples_by_asn.items():
-            grouped[asn].extend(triples)
-    merged.triples_by_asn = dict(grouped)
+            grouped[asn].append(triples)
+    merged.triples_by_asn = {
+        asn: TripleColumns.concat(parts) for asn, parts in grouped.items()
+    }
     return merged
 
 
@@ -169,7 +179,7 @@ def collect_associations(
     — in a process pool when ``workers > 1``
     (:func:`repro.perf.parallel.map_streamed`, which ships the
     classifier once per worker) — then merged in population order.
-    That yields the exact per-AS triple lists of a single
+    That yields the exact per-AS triple columns of a single
     :func:`collect` pass, which appends population by population.
     """
     classifier = PrefixClassifier(table, registry)

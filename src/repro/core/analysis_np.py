@@ -37,6 +37,8 @@ parity tests pin this contract down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import and_, attrgetter, rshift
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -51,6 +53,8 @@ from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
 from repro.ip.prefix import IPPrefix
 
 _M64 = (1 << 64) - 1
+#: ``EchoRun`` -> its address (or prefix); ``IPAddress`` -> its integer.
+_VALUE = attrgetter("value")
 
 
 # ---------------------------------------------------------------------------
@@ -135,47 +139,43 @@ def columns_from_runs(
 
     ``value_type`` optionally enforces the run value class (mirroring
     :func:`repro.core.changes.v6_runs_to_prefix_runs`'s type check);
-    prefix-valued runs are packed by their network address.
+    prefix-valued runs are packed by their network address.  Every
+    field is gathered by a C-level ``map`` into ``np.fromiter``; the
+    value types are checked once over their distinct set.
     """
     probes: List[Sequence[EchoRun]] = [
         runs if isinstance(runs, Sequence) else list(runs) for runs in runs_by_probe
     ]
-    counts = np.fromiter((len(runs) for runs in probes), dtype=np.int64, count=len(probes))
+    counts = np.fromiter(map(len, probes), dtype=np.int64, count=len(probes))
     offsets = np.zeros(len(probes) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     total = int(offsets[-1])
+    flat = list(chain.from_iterable(probes))
 
-    values: List[int] = []
-    for runs in probes:
-        for run in runs:
-            value = run.value
-            if value_type is not None and not isinstance(value, value_type):
-                raise TypeError(
-                    f"expected {value_type.__name__} runs, got {type(value).__name__}"
-                )
-            values.append(int(value.network) if isinstance(value, IPPrefix) else int(value))
+    values = list(map(_VALUE, flat))
+    kinds = set(map(type, values))
+    if value_type is not None and not all(issubclass(kind, value_type) for kind in kinds):
+        offending = next(value for value in values if not isinstance(value, value_type))
+        raise TypeError(
+            f"expected {value_type.__name__} runs, got {type(offending).__name__}"
+        )
+    if any(issubclass(kind, IPPrefix) for kind in kinds):
+        values = [
+            value.network if isinstance(value, IPPrefix) else value for value in values
+        ]
+    values = list(map(_VALUE, values))
 
-    flat = (run for runs in probes for run in runs)
-    first = np.empty(total, dtype=np.int64)
-    last = np.empty(total, dtype=np.int64)
-    observed = np.empty(total, dtype=np.int64)
-    max_gap = np.empty(total, dtype=np.int64)
-    for index, run in enumerate(flat):
-        first[index] = run.first
-        last[index] = run.last
-        observed[index] = run.observed
-        max_gap[index] = run.max_gap
+    def column(name: str) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), flat), dtype=np.int64, count=total)
 
-    value_hi = np.fromiter((v >> 64 for v in values), dtype=np.uint64, count=total)
-    value_lo = np.fromiter((v & _M64 for v in values), dtype=np.uint64, count=total)
     return RunColumns(
         offsets=offsets,
-        value_hi=value_hi,
-        value_lo=value_lo,
-        first=first,
-        last=last,
-        observed=observed,
-        max_gap=max_gap,
+        value_hi=np.fromiter(map(rshift, values, repeat(64)), dtype=np.uint64, count=total),
+        value_lo=np.fromiter(map(and_, values, repeat(_M64)), dtype=np.uint64, count=total),
+        first=column("first"),
+        last=column("last"),
+        observed=column("observed"),
+        max_gap=column("max_gap"),
     )
 
 

@@ -10,40 +10,139 @@ Input is columnar: three equal-length arrays ``days`` (int), ``v4_keys``
 (uint32 /24 network addresses) and ``v6_keys``.  Because NumPy has no
 native 128-bit integer, /64 keys are passed as the *upper 64 bits* of
 the /64 network address (``int(prefix.network) >> 64``), which is a
-bijection for /64s; :func:`columns_from_triples` performs the packing.
+bijection for /64s.  :class:`TripleColumns` holds a triple population in
+exactly that form (the CDN dataset keeps one per origin AS), and its
+:meth:`TripleColumns.from_triples` is the one triples-to-columns step,
+refusing any v6 key that is not a /64 network address.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import and_, eq, itemgetter, lshift, rshift
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.associations import BoxStats, Triple
 from repro.core.sortkeys import sort_rows
 
+_M64 = (1 << 64) - 1
+
+
+def _v6_key_column(v6_keys: Sequence[int]) -> np.ndarray:
+    """Narrow full 128-bit /64 keys to their upper-64-bit ``uint64`` column.
+
+    The one place a /64 key is narrowed: every triples-to-columns
+    adapter goes through :meth:`TripleColumns.from_triples`.  A key
+    with any of its low 64 bits set is not a /64 network address, and
+    narrowing it would silently disagree with the pure-Python
+    reference, so it raises ``ValueError`` naming the first such key.
+    """
+    if any(map(and_, v6_keys, repeat(_M64))):
+        bad = next(key for key in v6_keys if key & _M64)
+        raise ValueError(f"v6 key {bad:#x} is not a /64 network address (low 64 bits set)")
+    return np.fromiter(map(rshift, v6_keys, repeat(64)), dtype=np.uint64, count=len(v6_keys))
+
+
+class TripleColumns(Sequence):
+    """Association triples as three read-only columns.
+
+    ``days`` (int64), ``v4`` (uint64 /24 network addresses) and ``v6``
+    (uint64, the *upper 64 bits* of the /64 network address) are the
+    arrays the columnar kernels take, so :func:`columns_from_triples`
+    hands them over without a conversion.  As a ``Sequence[Triple]`` it
+    yields the same ``(day, v4_key, v6_key)`` tuples, full 128-bit
+    ``v6_key`` included, that a list of triples would — the pure-Python
+    reference and the CSV writer iterate it unchanged.
+
+    The arrays are read-only, so a kernel that sorts an input in place
+    fails loudly instead of corrupting the dataset that shares them.
+    """
+
+    __slots__ = ("days", "v4", "v6")
+
+    def __init__(self, days, v4, v6) -> None:
+        columns = []
+        for array, dtype in ((days, np.int64), (v4, np.uint64), (v6, np.uint64)):
+            array = np.asarray(array, dtype=dtype)
+            if array.ndim != 1:
+                raise ValueError("triple columns must be one-dimensional")
+            view = array.view()
+            view.flags.writeable = False
+            columns.append(view)
+        if not len(columns[0]) == len(columns[1]) == len(columns[2]):
+            raise ValueError("triple columns must have equal length")
+        self.days, self.v4, self.v6 = columns
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[Triple]) -> "TripleColumns":
+        """Pack ``(day, v4_key, v6_key)`` triples (full 128-bit v6 keys)."""
+        if isinstance(triples, cls):
+            return triples
+        rows = triples if isinstance(triples, Sequence) else list(triples)
+        count = len(rows)
+        return cls(
+            np.fromiter(map(itemgetter(0), rows), dtype=np.int64, count=count),
+            np.fromiter(map(itemgetter(1), rows), dtype=np.uint64, count=count),
+            _v6_key_column(list(map(itemgetter(2), rows))),
+        )
+
+    @classmethod
+    def concat(cls, parts: Iterable["TripleColumns"]) -> "TripleColumns":
+        """The rows of ``parts`` in order (one part is returned as is)."""
+        parts = list(parts)
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls(np.empty(0, np.int64), np.empty(0, np.uint64), np.empty(0, np.uint64))
+        return cls(
+            np.concatenate([part.days for part in parts]),
+            np.concatenate([part.v4 for part in parts]),
+            np.concatenate([part.v6 for part in parts]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TripleColumns(self.days[index], self.v4[index], self.v6[index])
+        return (int(self.days[index]), int(self.v4[index]), int(self.v6[index]) << 64)
+
+    def __iter__(self) -> Iterator[Triple]:
+        return zip(
+            self.days.tolist(), self.v4.tolist(), map(lshift, self.v6.tolist(), repeat(64))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TripleColumns):
+            return (
+                np.array_equal(self.days, other.days)
+                and np.array_equal(self.v4, other.v4)
+                and np.array_equal(self.v6, other.v6)
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        # Unpickled arrays come back writeable; rebuilding through
+        # __init__ makes them read-only again.
+        return (TripleColumns, (self.days, self.v4, self.v6))
+
 
 def columns_from_triples(triples: Iterable[Triple]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack (day, v4_key, v6_key) triples into columnar arrays.
+    """``(days, v4, v6)`` columns of ``triples``; see :class:`TripleColumns`.
 
-    Sequences (lists, tuples) are iterated in place; only true
-    generators are materialized — on a multi-million-triple list this
-    halves peak memory versus an unconditional copy.
+    A :class:`TripleColumns` hands over its own (read-only) arrays
+    without iterating; other sequences are packed once, and only true
+    generators are materialized first.
     """
-    if isinstance(triples, Sequence):
-        materialized: Sequence[Triple] = triples
-    else:
-        materialized = list(triples)
-    if not materialized:
-        empty64 = np.empty(0, dtype=np.uint64)
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64), empty64
-    days = np.fromiter((t[0] for t in materialized), dtype=np.int64, count=len(materialized))
-    v4 = np.fromiter((t[1] for t in materialized), dtype=np.uint64, count=len(materialized))
-    v6 = np.fromiter(
-        (t[2] >> 64 for t in materialized), dtype=np.uint64, count=len(materialized)
-    )
-    return days, v4, v6
+    columns = TripleColumns.from_triples(triples)
+    return columns.days, columns.v4, columns.v6
 
 
 def association_durations_np(
@@ -255,6 +354,7 @@ def unpack_v6_degree_keys(degree_counts: Dict[int, int]) -> Dict[int, int]:
 
 
 __all__ = [
+    "TripleColumns",
     "association_durations_np",
     "box_stats_from_counts",
     "box_stats_np",

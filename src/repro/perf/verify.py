@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.workloads import AtlasScenario, CdnScenario
 
 
@@ -90,8 +92,10 @@ def cdn_scenario_diffs(a: CdnScenario, b: CdnScenario) -> List[str]:
         )
         return diffs
     for asn, triples_a in dataset_a.triples_by_asn.items():
-        if triples_a != dataset_b.triples_by_asn[asn]:
-            diffs.append(f"dataset.triples_by_asn[{asn}] differs")
+        triples_b = dataset_b.triples_by_asn[asn]
+        for column in ("days", "v4", "v6"):
+            if not np.array_equal(getattr(triples_a, column), getattr(triples_b, column)):
+                diffs.append(f"dataset.triples_by_asn[{asn}].{column} differs")
     return diffs
 
 

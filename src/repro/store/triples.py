@@ -38,12 +38,14 @@ import os
 import shutil
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.associations import Triple
+from repro.core.associations_np import columns_from_triples
 from repro.core.sortkeys import sort_rows
 from repro.obs import get_logger, metric_inc, span
 from repro.perf.parallel import effective_workers
@@ -261,31 +263,20 @@ def triple_column_batches(
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Batch python ``(day, v4, v6)`` triples into columnar arrays.
 
-    The v6 key is narrowed to its upper 64 bits (the /64 bijection used
-    throughout the store).  Consumes the iterable lazily — this is the
+    Each batch goes through
+    :func:`repro.core.associations_np.columns_from_triples`, so the v6
+    key is narrowed to its upper 64 bits (the /64 bijection used
+    throughout the store) and a key that is not a /64 network address
+    raises ``ValueError``.  Consumes the iterable lazily — this is the
     shared triples→columns adapter for both the serial writer and the
     parallel segment build.
     """
-    days: List[int] = []
-    v4s: List[int] = []
-    v6s: List[int] = []
-    for day, v4_key, v6_key in triples:
-        days.append(day)
-        v4s.append(v4_key)
-        v6s.append(v6_key >> 64)
-        if len(days) >= batch_rows:
-            yield (
-                np.array(days, dtype=np.int64),
-                np.array(v4s, dtype=np.uint64),
-                np.array(v6s, dtype=np.uint64),
-            )
-            days, v4s, v6s = [], [], []
-    if days:
-        yield (
-            np.array(days, dtype=np.int64),
-            np.array(v4s, dtype=np.uint64),
-            np.array(v6s, dtype=np.uint64),
-        )
+    rows = iter(triples)
+    while True:
+        batch = list(islice(rows, batch_rows))
+        if not batch:
+            return
+        yield columns_from_triples(batch)
 
 
 class TripleStoreWriter:

@@ -717,18 +717,19 @@ def build_cdn_triple_store(
 ):
     """Persist a CDN scenario's triples as a sharded memmap store.
 
-    The dataset streams into the store lazily
-    (:meth:`~repro.cdn.collector.CdnDataset.iter_triples`), so the only
-    full-population copy that ever exists is the on-disk one.
-    ``workers`` > 1 (on a multi-core host) fans the build out to
-    parallel segment writers and compacts — byte-identical to the
+    The dataset's per-AS columns
+    (:class:`~repro.core.associations_np.TripleColumns`) are the
+    store's input batches, one per AS, so no triple is turned back into
+    a tuple.  ``workers`` > 1 (on a multi-core host) fans the build out
+    to parallel segment writers and compacts — byte-identical to the
     serial build (``None`` = ``$REPRO_WORKERS``).  Returns the opened
     :class:`repro.store.TripleStore`.
     """
-    from repro.store import build_store_from_triples
+    from repro.core.associations_np import columns_from_triples
+    from repro.store import build_store_from_columns
 
-    return build_store_from_triples(
-        scenario.dataset.iter_triples(),
+    return build_store_from_columns(
+        map(columns_from_triples, scenario.dataset.triples_by_asn.values()),
         directory,
         shards=shards,
         spill_rows=spill_rows,

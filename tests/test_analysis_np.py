@@ -330,6 +330,42 @@ def test_columns_from_runs_type_enforcement():
         anp.columns_from_runs([[run]], value_type=IPv6Address)
 
 
+def test_columns_from_runs_mixed_family_names_first_offender():
+    runs = [
+        EchoRun(probe_id=0, family=6, value=IPv6Address(1 << 64), first=0, last=0, observed=1),
+        EchoRun(probe_id=0, family=4, value=IPv4Address(1), first=1, last=1, observed=1),
+    ]
+    with pytest.raises(TypeError, match="^expected IPv6Address runs, got IPv4Address$"):
+        anp.columns_from_runs([runs[:1], runs[1:]], value_type=IPv6Address)
+    with pytest.raises(TypeError, match="^expected IPv4Address runs, got IPv6Address$"):
+        anp.columns_from_runs([runs], value_type=IPv4Address)
+
+
+def test_columns_from_runs_packs_prefixes_by_network():
+    address = IPv6Address((0x2001_0DB8 << 96) | (7 << 64) | 0xBEEF)
+    prefix = IPv6Prefix(address, 64)
+    runs = [
+        EchoRun(probe_id=0, family=6, value=prefix, first=0, last=2, observed=3, max_gap=0),
+        EchoRun(probe_id=0, family=6, value=address, first=5, last=9, observed=4, max_gap=1),
+    ]
+    cols = anp.columns_from_runs([runs])
+    network = int(prefix.network)
+    assert cols.value_hi.tolist() == [network >> 64, int(address) >> 64]
+    assert cols.value_lo.tolist() == [network & ((1 << 64) - 1), 0xBEEF]
+    assert cols.first.tolist() == [0, 5] and cols.last.tolist() == [2, 9]
+    assert cols.observed.tolist() == [3, 4] and cols.max_gap.tolist() == [0, 1]
+
+
+def test_columns_from_runs_empty_probes():
+    run = EchoRun(probe_id=1, family=4, value=IPv4Address(9), first=3, last=4, observed=2)
+    cols = anp.columns_from_runs([[], [run], (), iter([])], value_type=IPv4Address)
+    assert cols.offsets.tolist() == [0, 0, 1, 1, 1]
+    assert cols.value_lo.tolist() == [9] and cols.value_hi.tolist() == [0]
+    only_empty = anp.columns_from_runs([[], []], value_type=IPv6Address)
+    assert only_empty.offsets.tolist() == [0, 0, 0] and only_empty.n_runs == 0
+    assert only_empty.first.dtype == np.int64 and only_empty.value_hi.dtype == np.uint64
+
+
 def test_empty_population_kernels():
     cols = anp.columns_from_runs([])
     assert cols.n_probes == 0 and cols.n_runs == 0
