@@ -26,16 +26,16 @@ inspectable after the run regardless of pytest's output capturing.
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.report import resolve_engine
+from repro.obs import get_tracer
 from repro.perf.cache import get_scenario_cache
 from repro.perf.parallel import resolve_workers
 from repro.perf.profiling import maybe_profile
-from repro.perf.timing import StageTimer, write_baseline
+from repro.perf.timing import write_baseline
 from repro.workloads import build_atlas_scenario, build_cdn_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -60,19 +60,17 @@ BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE", "1").strip().lower() not in (
     "off",
 )
 
-_BUILD_TIMER = StageTimer()
-_BUILD_META: dict = {}
+_BUILD: dict = {}
 _ANALYSIS: dict = {}
 
 
 def _timed_build(stage: str, builder, **kwargs):
     cache = get_scenario_cache()
     hits_before = cache.stats.hits
-    with maybe_profile(stage):
-        start = time.perf_counter()
+    with maybe_profile(stage), get_tracer().span(stage) as timed:
         scenario = builder(workers=BENCH_WORKERS, cache=BENCH_CACHE, **kwargs)
-        _BUILD_TIMER.record(stage, time.perf_counter() - start)
-    _BUILD_META[stage] = {
+    _BUILD[stage] = {
+        "seconds": round(timed.duration, 4),
         "workers": BENCH_WORKERS,
         "cache": (
             "hit" if BENCH_CACHE and cache.stats.hits > hits_before
@@ -129,15 +127,11 @@ def pytest_runtest_logreport(report):
 
 def pytest_sessionfinish(session, exitstatus):
     """Record this session's build/analysis timings in BENCH_baseline.json."""
-    if not _BUILD_TIMER.as_dict():
+    if not _BUILD:
         return  # nothing was built (e.g. collection-only or filtered run)
-    build = {
-        stage: {"seconds": seconds, **_BUILD_META.get(stage, {})}
-        for stage, seconds in _BUILD_TIMER.as_dict().items()
-    }
     write_baseline(
         "benchmark_session",
-        {"build": build, "analysis": _ANALYSIS, "analysis_engine": resolve_engine()},
+        {"build": _BUILD, "analysis": _ANALYSIS, "analysis_engine": resolve_engine()},
     )
 
 

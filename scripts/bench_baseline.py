@@ -1,54 +1,27 @@
 """Scenario-build and analysis baseline: time, verify, record.
 
-Runs a downscaled Atlas + CDN scenario build serially and with a worker
-pool, verifies the parallel results are bit-identical to the serial
-ones, exercises a cache round-trip in a throwaway directory, then times
-the full Section 3/5 analysis stack (Table 1, Figure 1, Figure 5,
-Table 2, periodicity detection) under both analysis engines (``py``
-reference vs the columnar ``fused``), asserts the two produce bit-identical
-artifacts, replays the same scenario through the chunked streaming
-engine (asserting batch parity, recording throughput and sampled peak
-RSS, and checking the checkpointable state stays bounded as the stream
-grows), builds and analyzes a synthetic sharded memmap triple store
-out-of-core (gating build/analyze throughput and the analyzer's peak
-RSS against a fraction of what materializing the same tuples as Python
-triples would cost, plus a parallel segment build of the same feed that
-must compact to a byte-identical digest and — in full mode on
-multi-core hosts — beat the serial build by ``--min-store-build-speedup``
-in tuples/s), times the end-to-end report suite (all artifacts
-plus periodicity) under the single-pass ``fused`` engine — enforcing
-bit-identity with the ``py`` artifacts, a strict fused end-to-end win
-over the summed ``py`` stages in full mode, and recording the peak-RSS
-delta of the zero-copy fused worker fan-out — exercises the ``repro.serve``
-query engine (cold-vs-warm artifact latency, batched-vs-sequential
-coalescing on 64 queries with a ``--min-serve-speedup`` gate in full
-mode, and a served-vs-direct parity sweep over every query family on
-every run), gates the observability plane (disabled-telemetry analysis
-overhead at most ``--max-obs-overhead``, default 1.05x, plus
-cross-process stitched-trace invariance of the pooled fused artifacts)
-— and records everything in the
-repo-root ``BENCH_baseline.json`` — the repository's perf trajectory
-artifact.
-Each run is additionally appended to ``BENCH_history.jsonl`` next to
-the baseline, so the perf trend across runs stays inspectable.
-
-On a multi-core machine the script *asserts* the parallel build speedup
-(default ``--min-speedup 2.0`` with 4 workers); on a single-core
-box the speedup is recorded but not enforced, since no amount of
-process fan-out can beat the hardware.  The analysis speedup (default
-``--min-analysis-speedup 3.0`` on Table 1) *is* enforced in full mode
-regardless of core count — vectorization does not need extra cores.
+Runs the stage table :data:`STAGES` in order (scenario builds, the cache
+round-trip, py-vs-fused analysis, streaming replay, the out-of-core
+store, the end-to-end report, the query service and the observability
+plane).  Each stage checks its results bit-identical to a reference and
+returns its payload section plus its failures; its docstring says what
+it times and gates.  Every duration comes from a ``repro.obs`` span
+under one ``bench_baseline`` root.  The payload is written to the
+repo-root ``BENCH_baseline.json`` and appended to
+``BENCH_history.jsonl``, which ``scripts.bench_report`` gates.
 
 Usage::
 
     PYTHONPATH=src python -m scripts.bench_baseline           # full baseline
     PYTHONPATH=src python -m scripts.bench_baseline --check   # CI smoke mode
 
-``--check`` shrinks the scales to finish in a few seconds and skips the
-speedup assertions while still enforcing determinism, engine parity and
-the cache round-trip — the properties CI can check on any hardware.
-Set ``REPRO_PROFILE=1`` to drop per-stage cProfile artifacts under
-``benchmarks/results/``.
+``--check`` shrinks the scales to finish in seconds and only records the
+hardware-dependent bounds (the ``MIN_*``/``MAX_*`` constants below); it
+still enforces determinism, engine parity, the cache round-trip and the
+store RSS gate.  ``REPRO_PROFILE=1`` drops one cProfile per stage
+(``profile_bench_<stage>.*`` under ``benchmarks/results/``), and
+``REPRO_TELEMETRY=1`` exports the span tree as
+``trace_bench_baseline.jsonl``.
 """
 
 from __future__ import annotations
@@ -56,17 +29,20 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
+import shutil
+import statistics
 import sys
 import tempfile
-import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.core.report import resolve_engine  # noqa: E402
-from repro.obs import TELEMETRY_ENV, export_trace, telemetry  # noqa: E402
+from repro.obs import TELEMETRY_ENV, export_trace, get_tracer, telemetry  # noqa: E402
 from repro.perf.cache import CACHE_DIR_ENV  # noqa: E402
 from repro.perf.profiling import maybe_profile  # noqa: E402
 from repro.perf.timing import (  # noqa: E402
@@ -130,17 +106,65 @@ CHECK_SCALE = {
               "v4_pool": 2_000, "v6_pool": 20_000},
 }
 
-
-def _timed(builder, **kwargs):
-    start = time.perf_counter()
-    scenario = builder(**kwargs)
-    return scenario, time.perf_counter() - start
-
+#: Full-mode bounds; ``--check`` records them beside the measured values.
+#: Serial/parallel scenario-build speedup (multi-core hosts only).
+MIN_BUILD_SPEEDUP = 2.0
+#: py/fused speedup per analysis stage.
+MIN_ANALYSIS_SPEEDUPS = {"table1": 3.0, "table2": 5.0, "periodicity": 20.0}
+#: Out-of-core analyze throughput.
+MIN_STORE_TUPLES_PER_SECOND = 100_000.0
+#: Parallel-vs-serial store build tuples/s speedup (multi-core hosts only).
+MIN_STORE_BUILD_SPEEDUP = 2.0
+#: Batched-vs-sequential speedup on the 64 coalesced serve queries.
+MIN_SERVE_SPEEDUP = 2.0
+#: Disabled-telemetry analysis rerun over the analysis stage's fused sum.
+MAX_OBS_OVERHEAD = 1.05
+#: Peak-RSS gate for the out-of-core analyzer, as a fraction of the
+#: estimated materialized-triples footprint; enforced in every mode.
+STORE_RSS_GATE = 0.25
 
 #: Analysis stages timed per engine, in execution order.  The first
 #: stage pays for the one-time per-AS column packing on the fused
 #: engine; the rest reuse the scenario-memoized packs.
 ANALYSIS_STAGES = ("table1", "figure1", "figure5", "table2", "periodicity")
+
+#: Telemetry off/on pairs the obs stage times (the order alternates).
+TELEMETRY_PAIRS = 3
+
+
+@dataclass
+class BenchContext:
+    """What every stage reads: options, scale and the shared results."""
+
+    args: argparse.Namespace
+    scale: dict
+    #: Full mode: hardware-dependent bounds gate instead of only recording.
+    enforce: bool
+    #: Kind -> serial scenario from the build stage; later stages reuse "atlas".
+    scenarios: dict = field(default_factory=dict)
+    #: Engine -> ``(results, timings)`` from the analysis stage.
+    analysis: dict = field(default_factory=dict)
+
+
+def _span(name: str):
+    """A child of the innermost open span; records with telemetry off too."""
+    return get_tracer().span(name)
+
+
+def _gate_pool_speedup(ctx: BenchContext) -> bool:
+    """Gate a pool speedup? Full mode where a pool can win (>=2 cores, workers)."""
+    return ctx.enforce and (os.cpu_count() or 1) >= 2 and ctx.args.workers >= 2
+
+
+def _rss_delta(sampler: RssSampler, start: Optional[int]) -> Optional[int]:
+    """Peak RSS over a sampled region minus the RSS before it (None if unknown)."""
+    if sampler.peak_bytes is None or start is None:
+        return None
+    return sampler.peak_bytes - start
+
+
+def _mib(value: Optional[int]) -> str:
+    return f"{value / 2**20:.0f} MiB" if value is not None else "n/a"
 
 
 def _run_analysis(scenario, engine: str):
@@ -188,10 +212,9 @@ def _run_analysis(scenario, engine: str):
     results = {}
     timings = {}
     for key in ANALYSIS_STAGES:
-        with maybe_profile(f"analysis_{key}_{engine}"):
-            start = time.perf_counter()
+        with _span(f"{engine}/{key}") as timed:
             results[key] = stages[key]()
-            timings[key] = time.perf_counter() - start
+        timings[key] = timed.duration
     return results, timings
 
 
@@ -249,633 +272,566 @@ def _store_parity(store, analysis) -> bool:
     )
 
 
-#: Peak-RSS gate for the out-of-core analyzer, as a fraction of the
-#: estimated materialized-triples footprint (ISSUE acceptance: <=25%).
-STORE_RSS_GATE = 0.25
+def stage_build(ctx: BenchContext):
+    """Atlas and CDN scenario builds, serial vs pooled.
 
+    The results must be identical, and where a pool can win the pooled
+    builds must be :data:`MIN_BUILD_SPEEDUP` faster.
+    """
+    args = ctx.args
+    seconds = {}
+    for kind, builder, assert_equal in (
+        ("atlas", build_atlas_scenario, assert_atlas_scenarios_equal),
+        ("cdn", build_cdn_scenario, assert_cdn_scenarios_equal),
+    ):
+        built = {}
+        for mode, workers in (("serial", 1), ("parallel", args.workers)):
+            with _span(f"{kind}_{mode}") as timed:
+                built[mode] = builder(
+                    seed=args.seed, workers=workers, cache=False, **ctx.scale[kind]
+                )
+            seconds[kind, mode] = timed.duration
+        assert_equal(built["serial"], built["parallel"])
+        ctx.scenarios[kind] = built["serial"]
+        print(f"{kind + ':':6s} serial {seconds[kind, 'serial']:.2f}s, "
+              f"{args.workers} workers {seconds[kind, 'parallel']:.2f}s "
+              "— results identical")
 
-def run_baseline(args: argparse.Namespace) -> dict:
-    scale = CHECK_SCALE if args.check else FULL_SCALE
+    speedup = sum(seconds[kind, "serial"] for kind in ("atlas", "cdn")) / max(
+        sum(seconds[kind, "parallel"] for kind in ("atlas", "cdn")), 1e-9
+    )
+    enforced = _gate_pool_speedup(ctx)
+    print(f"build speedup with {args.workers} workers on {os.cpu_count() or 1} "
+          f"core(s): {speedup:.2f}x" + ("" if enforced else " (not enforced)"))
     failures = []
+    if enforced and speedup < MIN_BUILD_SPEEDUP:
+        failures.append(f"parallel speedup {speedup:.2f}x below required "
+                        f"{MIN_BUILD_SPEEDUP:.2f}x")
+    build = {
+        kind: {
+            "serial_seconds": round(seconds[kind, "serial"], 4),
+            "parallel_seconds": round(seconds[kind, "parallel"], 4),
+            **ctx.scale[kind],
+        }
+        for kind in ("atlas", "cdn")
+    }
+    return {
+        "build": build,
+        "speedup": round(speedup, 4),
+        "speedup_enforced": enforced,
+        "min_speedup": MIN_BUILD_SPEEDUP,
+    }, failures
 
-    serial_atlas, atlas_serial_s = _timed(
-        build_atlas_scenario, seed=args.seed, workers=1, cache=False, **scale["atlas"]
-    )
-    parallel_atlas, atlas_parallel_s = _timed(
-        build_atlas_scenario,
-        seed=args.seed,
-        workers=args.workers,
-        cache=False,
-        **scale["atlas"],
-    )
-    assert_atlas_scenarios_equal(serial_atlas, parallel_atlas)
-    print(f"atlas: serial {atlas_serial_s:.2f}s, {args.workers} workers "
-          f"{atlas_parallel_s:.2f}s — results identical")
 
-    serial_cdn, cdn_serial_s = _timed(
-        build_cdn_scenario, seed=args.seed, workers=1, cache=False, **scale["cdn"]
-    )
-    parallel_cdn, cdn_parallel_s = _timed(
-        build_cdn_scenario,
-        seed=args.seed,
-        workers=args.workers,
-        cache=False,
-        **scale["cdn"],
-    )
-    assert_cdn_scenarios_equal(serial_cdn, parallel_cdn)
-    print(f"cdn:   serial {cdn_serial_s:.2f}s, {args.workers} workers "
-          f"{cdn_parallel_s:.2f}s — results identical")
+def stage_cache(ctx: BenchContext):
+    """Scenario-cache round-trip in a throwaway directory.
 
-    # Cache round-trip in a throwaway directory: second build must be a
-    # pure load that compares equal to the generated scenario.
+    The second build must be a faster pure load equal to the first.
+    """
+    seconds = {}
+    built = {}
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         os.environ[CACHE_DIR_ENV] = tmp
-        cold, cache_cold_s = _timed(
-            build_atlas_scenario, seed=args.seed, workers=1, cache=True, **scale["atlas"]
-        )
-        warm, cache_warm_s = _timed(
-            build_atlas_scenario, seed=args.seed, workers=1, cache=True, **scale["atlas"]
-        )
+        for key in ("cold", "warm"):
+            with _span(key) as timed:
+                built[key] = build_atlas_scenario(
+                    seed=ctx.args.seed, workers=1, cache=True, **ctx.scale["atlas"]
+                )
+            seconds[key] = timed.duration
         os.environ.pop(CACHE_DIR_ENV, None)
-    assert_atlas_scenarios_equal(cold, warm)
-    if not cache_warm_s < cache_cold_s:
-        failures.append(
-            f"cache hit ({cache_warm_s:.2f}s) not faster than cold build "
-            f"({cache_cold_s:.2f}s)"
-        )
-    print(f"cache: cold {cache_cold_s:.2f}s, warm hit {cache_warm_s:.3f}s "
-          f"({cache_cold_s / max(cache_warm_s, 1e-9):.0f}x)")
+    assert_atlas_scenarios_equal(built["cold"], built["warm"])
+    failures = []
+    if not seconds["warm"] < seconds["cold"]:
+        failures.append(f"cache hit ({seconds['warm']:.2f}s) not faster than "
+                        f"cold build ({seconds['cold']:.2f}s)")
+    print(f"cache: cold {seconds['cold']:.2f}s, warm hit {seconds['warm']:.3f}s "
+          f"({seconds['cold'] / max(seconds['warm'], 1e-9):.0f}x)")
+    return {"cache": {
+        "cold_seconds": round(seconds["cold"], 4),
+        "warm_seconds": round(seconds["warm"], 4),
+    }}, failures
 
-    # Analysis stages over the serial Atlas scenario: the pure-Python
-    # reference vs the fused engine, with a hard parity check.
-    py_results, py_timings = _run_analysis(serial_atlas, "py")
-    fused_results, fused_timings = _run_analysis(serial_atlas, "fused")
-    analysis_parity = fused_results == py_results
-    if not analysis_parity:
+
+def stage_analysis(ctx: BenchContext):
+    """The analysis stages under the ``py`` reference and ``fused``.
+
+    The artifacts must be identical, and full mode gates
+    :data:`MIN_ANALYSIS_SPEEDUPS`.
+    """
+    for engine in ("py", "fused"):
+        ctx.analysis[engine] = _run_analysis(ctx.scenarios["atlas"], engine)
+    (py_results, py_timings), (fused_results, fused_timings) = (
+        ctx.analysis["py"], ctx.analysis["fused"]
+    )
+    failures = []
+    parity = fused_results == py_results
+    if not parity:
         failures.append("analysis engine parity violated: fused != py artifacts")
-    analysis_stages = {}
+    stages = {}
     for key in ANALYSIS_STAGES:
-        stage_speedup = py_timings[key] / max(fused_timings[key], 1e-9)
-        analysis_stages[key] = {
+        speedup = py_timings[key] / max(fused_timings[key], 1e-9)
+        stages[key] = {
             "py_seconds": round(py_timings[key], 4),
             "fused_seconds": round(fused_timings[key], 4),
-            "speedup": round(stage_speedup, 4),
+            "speedup": round(speedup, 4),
         }
         print(f"analysis {key:8s} py {py_timings[key]:.3f}s "
-              f"fused {fused_timings[key]:.3f}s ({stage_speedup:.1f}x) — "
-              f"artifacts identical")
-    analysis_enforced = not args.check
-    if analysis_enforced:
-        for stage, required in (
-            ("table1", args.min_analysis_speedup),
-            ("table2", args.min_table2_speedup),
-            ("periodicity", args.min_periodicity_speedup),
-        ):
-            stage_speedup = analysis_stages[stage]["speedup"]
-            if stage_speedup < required:
-                failures.append(
-                    f"{stage} analysis speedup {stage_speedup:.2f}x below "
-                    f"required {required:.2f}x"
-                )
+              f"fused {fused_timings[key]:.3f}s ({speedup:.1f}x) — "
+              "artifacts identical")
+        required = MIN_ANALYSIS_SPEEDUPS.get(key)
+        if ctx.enforce and required is not None and speedup < required:
+            failures.append(f"{key} analysis speedup {speedup:.2f}x below "
+                            f"required {required:.2f}x")
+    return {"analysis": {
+        "default_engine": resolve_engine(None),
+        "stages": stages,
+        "parity": parity,
+        "min_speedups": MIN_ANALYSIS_SPEEDUPS,
+        **{f"{key}_speedup_enforced": ctx.enforce for key in MIN_ANALYSIS_SPEEDUPS},
+    }}, failures
 
-    # Telemetry invariance: the same build + analysis with spans and
-    # metrics recording must produce bit-identical artifacts, and the
-    # instrumentation must stay near-free even when enabled.
-    untraced_s = atlas_serial_s + sum(fused_timings.values())
-    with maybe_profile("telemetry_invariance"):
-        start = time.perf_counter()
-        with telemetry(True, reset=True):
-            traced_atlas, _ = _timed(
-                build_atlas_scenario,
-                seed=args.seed,
-                workers=1,
-                cache=False,
-                **scale["atlas"],
-            )
-            traced_results, _ = _run_analysis(traced_atlas, "fused")
-            if os.environ.get(TELEMETRY_ENV, "").strip():
-                trace_path = export_trace("bench_baseline")
-                print(f"telemetry trace written to {trace_path}")
-        telemetry_s = time.perf_counter() - start
-    assert_atlas_scenarios_equal(serial_atlas, traced_atlas)
-    telemetry_parity = traced_results == fused_results
-    if not telemetry_parity:
-        failures.append(
-            "telemetry parity violated: artifacts change with telemetry enabled"
-        )
-    telemetry_ratio = telemetry_s / max(untraced_s, 1e-9)
-    print(
-        f"telemetry: build+analysis {telemetry_s:.3f}s with spans+metrics on "
-        f"(off: {untraced_s:.3f}s, {telemetry_ratio:.2f}x) — artifacts identical"
-    )
-    telemetry_stats = {
-        "enabled_seconds": round(telemetry_s, 4),
-        "disabled_seconds": round(untraced_s, 4),
-        "ratio": round(telemetry_ratio, 4),
-        "parity": telemetry_parity,
-    }
 
-    # Streaming replay over the serial Atlas scenario: the chunked
-    # incremental engine must reproduce the batch fused artifacts
-    # bit-identically, and its checkpointable state must stay bounded by
-    # the probe population rather than grow with the stream length (the
-    # pickled state after all chunks vs after the first quarter).
+def stage_streaming(ctx: BenchContext):
+    """Chunked streaming replay of the Atlas scenario.
+
+    It must reproduce the batch fused artifacts, and in full mode its
+    checkpointable state must stay bounded by the population rather than
+    grow with the stream (pickled state after all chunks vs after the
+    first quarter).
+    """
+    atlas = ctx.scenarios["atlas"]
     chunk_hours = 24 * 30
-    total_chunks = max(1, -(-serial_atlas.end_hour // chunk_hours))
+    total_chunks = max(1, -(-atlas.end_hour // chunk_hours))
     quarter_chunks = max(1, total_chunks // 4)
     state_bytes = {}
 
     def _sample_state(engine_obj, chunk):
         if chunk.index + 1 in (quarter_chunks, total_chunks):
             state_bytes[chunk.index + 1] = len(
-                pickle.dumps(
-                    engine_obj.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
-                )
+                pickle.dumps(engine_obj.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
             )
 
-    with maybe_profile("analysis_streaming"), RssSampler() as sampler:
-        start = time.perf_counter()
-        stream_result = stream_analyze_atlas_scenario(
-            serial_atlas,
-            chunk_hours=chunk_hours,
-            min_probes=2,
-            on_chunk=_sample_state,
+    with RssSampler() as sampler, _span("replay") as timed:
+        result = stream_analyze_atlas_scenario(
+            atlas, chunk_hours=chunk_hours, min_probes=2, on_chunk=_sample_state
         )
-        stream_s = time.perf_counter() - start
-    batch = analyze_atlas_scenario(serial_atlas, engine="fused")
-    batch_periods = periodicity_for_scenario(serial_atlas, min_probes=2, engine="fused")
-    stream_parity = (
-        stream_result.analysis == batch
-        and (stream_result.v4_periods, stream_result.v6_periods) == batch_periods
+    failures = []
+    parity = (
+        result.analysis == analyze_atlas_scenario(atlas, engine="fused")
+        and (result.v4_periods, result.v6_periods)
+        == periodicity_for_scenario(atlas, min_probes=2, engine="fused")
     )
-    if not stream_parity:
+    if not parity:
         failures.append("streaming replay parity violated: streamed != batch fused")
-    runs_per_s = stream_result.stats.runs_seen / max(stream_s, 1e-9)
+    runs_per_s = result.stats.runs_seen / max(timed.duration, 1e-9)
     bytes_quarter = state_bytes.get(quarter_chunks)
     bytes_end = state_bytes.get(total_chunks)
     state_bounded = None
     if bytes_quarter and bytes_end:
         state_bounded = bytes_end <= 3 * bytes_quarter
-        if not args.check and not state_bounded:
+        if ctx.enforce and not state_bounded:
             failures.append(
                 f"streaming state grew with the stream: {bytes_end} bytes "
                 f"after {total_chunks} chunks vs {bytes_quarter} after "
                 f"{quarter_chunks}"
             )
-    rss_mib = (
-        f"{sampler.peak_bytes / 2**20:.0f} MiB"
-        if sampler.peak_bytes is not None
-        else "n/a"
-    )
     print(
-        f"streaming: {stream_result.stats.runs_seen} runs in "
-        f"{stream_result.stats.chunks_folded} chunks of {chunk_hours}h, "
-        f"{stream_s:.3f}s ({runs_per_s:.0f} runs/s), peak RSS {rss_mib}, "
-        f"state {bytes_quarter}->{bytes_end} bytes — artifacts identical"
+        f"streaming: {result.stats.runs_seen} runs in "
+        f"{result.stats.chunks_folded} chunks of {chunk_hours}h, "
+        f"{timed.duration:.3f}s ({runs_per_s:.0f} runs/s), peak RSS "
+        f"{_mib(sampler.peak_bytes)}, state {bytes_quarter}->{bytes_end} bytes "
+        "— artifacts identical"
     )
-    streaming = {
+    return {"streaming": {
         "chunk_hours": chunk_hours,
-        "chunks": stream_result.stats.chunks_folded,
-        "runs": stream_result.stats.runs_seen,
-        "seconds": round(stream_s, 4),
+        "chunks": result.stats.chunks_folded,
+        "runs": result.stats.runs_seen,
+        "seconds": round(timed.duration, 4),
         "runs_per_second": round(runs_per_s, 1),
         "peak_rss_bytes": sampler.peak_bytes,
         "state_bytes_quarter": bytes_quarter,
         "state_bytes_end": bytes_end,
         "state_bounded": state_bounded,
-        "state_bound_enforced": not args.check,
-        "parity": stream_parity,
-    }
+        "state_bound_enforced": ctx.enforce,
+        "parity": parity,
+    }}, failures
 
-    # Out-of-core sharded triple store: build a synthetic store at a
-    # tuple volume the in-RAM path would have to materialize as Python
-    # triples, analyze it shard-by-shard under an RSS sampler, and gate
-    # the analyzer's peak RSS *delta* against a fraction of that
-    # materialized footprint.  The in-RAM parity pass runs after the
-    # gated region so its own allocations cannot pollute the gate.
+
+def stage_store(ctx: BenchContext):
+    """Out-of-core sharded triple store over a synthetic feed.
+
+    Builds the store serially and as parallel segments (digest parity
+    always; :data:`MIN_STORE_BUILD_SPEEDUP` where pools can win), then
+    analyzes it shard by shard under an RSS sampler: the peak RSS delta
+    must stay under :data:`STORE_RSS_GATE` of what materializing the
+    tuples as Python triples would cost, and full mode gates
+    :data:`MIN_STORE_TUPLES_PER_SECOND`.  The in-RAM parity pass runs
+    after the gated region so its allocations cannot pollute the gate.
+    """
     from repro.store import (
         analyze_store,
         build_store_from_columns,
+        parallel_build_store,
         synthetic_triple_batches,
     )
 
-    store_scale = dict(scale["store"])
-    if args.store_tuples is not None:
-        store_scale["tuples"] = args.store_tuples
-    store_tuples = store_scale["tuples"]
+    args = ctx.args
+    scale = ctx.scale["store"]
+    tuples = scale["tuples"]
+    source = {"kind": "synthetic", "seed": args.seed}
+
+    def feed():
+        return synthetic_triple_batches(
+            tuples, batch_rows=scale["batch_rows"], seed=args.seed,
+            v4_pool=scale["v4_pool"], v6_pool=scale["v6_pool"],
+        )
+
+    failures = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
-        with maybe_profile("store_build"):
-            start = time.perf_counter()
+        with _span("build") as build_span:
             store = build_store_from_columns(
-                synthetic_triple_batches(
-                    store_tuples,
-                    batch_rows=store_scale["batch_rows"],
-                    seed=args.seed,
-                    v4_pool=store_scale["v4_pool"],
-                    v6_pool=store_scale["v6_pool"],
-                ),
-                Path(tmp) / "store",
-                shards=store_scale["shards"],
-                source={"kind": "synthetic", "seed": args.seed},
+                feed(), Path(tmp) / "store", shards=scale["shards"], source=source
             )
-            store_build_s = time.perf_counter() - start
-        build_rate = store_tuples / max(store_build_s, 1e-9)
+        build_rate = tuples / max(build_span.duration, 1e-9)
         print(
-            f"store: built {store_tuples} tuples into {store.shards} "
+            f"store: built {tuples} tuples into {store.shards} "
             f"shard(s), {store.nbytes / 2**20:.0f} MiB on disk, "
-            f"{store_build_s:.2f}s ({build_rate:.0f} tuples/s)"
+            f"{build_span.duration:.2f}s ({build_rate:.0f} tuples/s)"
         )
 
-        # Parallel segment build of the same feed: always exercised
-        # (serially on one core, so CI still covers the segment
-        # writer + compaction machinery) with digest parity against
-        # the serial store enforced unconditionally; the >= 2x
-        # tuples/s gate only applies where the hardware can deliver
-        # it (full mode, multi-core, >= 2 workers).
-        import shutil as _shutil
-
-        from repro.store import parallel_build_store
-
-        store_cores = os.cpu_count() or 1
-        with maybe_profile("store_build_parallel"):
-            start = time.perf_counter()
+        # Always exercised (serially on one core, so CI still covers the
+        # segment writer and compaction) with digest parity enforced.
+        with _span("build_parallel") as parallel_span:
             parallel_store = parallel_build_store(
-                synthetic_triple_batches(
-                    store_tuples,
-                    batch_rows=store_scale["batch_rows"],
-                    seed=args.seed,
-                    v4_pool=store_scale["v4_pool"],
-                    v6_pool=store_scale["v6_pool"],
-                ),
-                Path(tmp) / "store-parallel",
-                shards=store_scale["shards"],
-                workers=args.workers,
-                segment_rows=store_scale["segment_rows"],
-                source={"kind": "synthetic", "seed": args.seed},
+                feed(), Path(tmp) / "store-parallel", shards=scale["shards"],
+                workers=args.workers, segment_rows=scale["segment_rows"],
+                source=source,
             )
-            store_parallel_s = time.perf_counter() - start
-        parallel_rate = store_tuples / max(store_parallel_s, 1e-9)
-        parallel_digest_match = parallel_store.digest() == store.digest()
-        if not parallel_digest_match:
-            failures.append(
-                "parallel store build digest differs from serial build"
-            )
-        build_speedup = store_build_s / max(store_parallel_s, 1e-9)
-        build_speedup_enforced = (
-            not args.check and store_cores >= 2 and args.workers >= 2
-        )
+        parallel_rate = tuples / max(parallel_span.duration, 1e-9)
+        digest_match = parallel_store.digest() == store.digest()
+        if not digest_match:
+            failures.append("parallel store build digest differs from serial build")
+        build_speedup = build_span.duration / max(parallel_span.duration, 1e-9)
+        build_speedup_enforced = _gate_pool_speedup(ctx)
         print(
             f"store: parallel build ({args.workers} workers on "
-            f"{store_cores} core(s)) {store_parallel_s:.2f}s "
+            f"{os.cpu_count() or 1} core(s)) {parallel_span.duration:.2f}s "
             f"({parallel_rate:.0f} tuples/s), speedup {build_speedup:.2f}x"
             + ("" if build_speedup_enforced else " (not enforced)")
-            + ", digest "
-            + ("identical" if parallel_digest_match else "DIVERGED")
+            + ", digest " + ("identical" if digest_match else "DIVERGED")
         )
-        if (
-            build_speedup_enforced
-            and build_speedup < args.min_store_build_speedup
-        ):
+        if build_speedup_enforced and build_speedup < MIN_STORE_BUILD_SPEEDUP:
             failures.append(
                 f"parallel store build speedup {build_speedup:.2f}x below "
-                f"required {args.min_store_build_speedup:.2f}x"
+                f"required {MIN_STORE_BUILD_SPEEDUP:.2f}x"
             )
         # Drop the parallel copy before the RSS-gated analyze pass —
         # at full scale it doubles the stage's disk footprint.
-        _shutil.rmtree(parallel_store.directory, ignore_errors=True)
+        shutil.rmtree(parallel_store.directory, ignore_errors=True)
 
-        footprint = _materialized_triple_bytes(store_tuples)
+        footprint = _materialized_triple_bytes(tuples)
         rss_start = current_rss_bytes()
-        with maybe_profile("store_analyze"), RssSampler() as sampler:
-            start = time.perf_counter()
-            store_analysis = analyze_store(
-                store,
-                workers=args.workers,
-                block_rows=store_scale["block_rows"],
+        with RssSampler() as sampler, _span("analyze") as analyze_span:
+            analysis = analyze_store(
+                store, workers=args.workers, block_rows=scale["block_rows"]
             )
-            store_analyze_s = time.perf_counter() - start
-        analyze_rate = store_tuples / max(store_analyze_s, 1e-9)
-        rss_delta = (
-            sampler.peak_bytes - rss_start
-            if sampler.peak_bytes is not None and rss_start is not None
-            else None
-        )
+        analyze_rate = tuples / max(analyze_span.duration, 1e-9)
+        rss_delta = _rss_delta(sampler, rss_start)
         rss_fraction = rss_delta / footprint if rss_delta is not None else None
         if rss_fraction is not None and rss_fraction > STORE_RSS_GATE:
             failures.append(
-                f"store analyze peak RSS delta {rss_delta / 2**20:.0f} MiB "
-                f"exceeds {STORE_RSS_GATE:.0%} of the "
-                f"{footprint / 2**20:.0f} MiB materialized-triples footprint"
+                f"store analyze peak RSS delta {_mib(rss_delta)} exceeds "
+                f"{STORE_RSS_GATE:.0%} of the {_mib(footprint)} "
+                "materialized-triples footprint"
             )
-        if not args.check and analyze_rate < args.min_store_tuples_per_second:
+        if ctx.enforce and analyze_rate < MIN_STORE_TUPLES_PER_SECOND:
             failures.append(
                 f"store analyze throughput {analyze_rate:.0f} tuples/s "
-                f"below required {args.min_store_tuples_per_second:.0f}"
+                f"below required {MIN_STORE_TUPLES_PER_SECOND:.0f}"
             )
-        with maybe_profile("store_parity"):
-            store_parity = _store_parity(store, store_analysis)
-        if not store_parity:
+        parity = _store_parity(store, analysis)
+        if not parity:
             failures.append(
                 "store parity violated: out-of-core != in-RAM columnar artifacts"
             )
         rss_text = (
-            f"{rss_delta / 2**20:.0f} MiB ({rss_fraction:.1%} of "
-            f"{footprint / 2**20:.0f} MiB materialized, gate "
-            f"{STORE_RSS_GATE:.0%})"
+            f"{_mib(rss_delta)} ({rss_fraction:.1%} of {_mib(footprint)} "
+            f"materialized, gate {STORE_RSS_GATE:.0%})"
             if rss_fraction is not None
             else "n/a"
         )
         print(
-            f"store: analyzed out-of-core in {store_analyze_s:.2f}s "
-            f"({analyze_rate:.0f} tuples/s), "
-            f"{store_analysis.duration_count} runs, peak RSS delta "
-            f"{rss_text} — artifacts identical"
+            f"store: analyzed out-of-core in {analyze_span.duration:.2f}s "
+            f"({analyze_rate:.0f} tuples/s), {analysis.duration_count} runs, "
+            f"peak RSS delta {rss_text} — artifacts identical"
         )
-        store_stats = {
-            "tuples": store_tuples,
+        return {"store": {
+            "tuples": tuples,
             "shards": store.shards,
-            "batch_rows": store_scale["batch_rows"],
-            "block_rows": store_scale["block_rows"],
+            "batch_rows": scale["batch_rows"],
+            "block_rows": scale["block_rows"],
             "store_bytes": store.nbytes,
             "digest": store.digest(),
-            "build_seconds": round(store_build_s, 4),
+            "build_seconds": round(build_span.duration, 4),
             "build_tuples_per_second": round(build_rate, 1),
-            "segment_rows": store_scale["segment_rows"],
+            "segment_rows": scale["segment_rows"],
             "build_workers": args.workers,
-            "build_parallel_seconds": round(store_parallel_s, 4),
+            "build_parallel_seconds": round(parallel_span.duration, 4),
             "build_parallel_tuples_per_second": round(parallel_rate, 1),
             "build_speedup": round(build_speedup, 3),
             "build_speedup_enforced": build_speedup_enforced,
-            "parallel_digest_match": parallel_digest_match,
-            "analyze_seconds": round(store_analyze_s, 4),
+            "min_build_speedup": MIN_STORE_BUILD_SPEEDUP,
+            "parallel_digest_match": digest_match,
+            "analyze_seconds": round(analyze_span.duration, 4),
             "analyze_tuples_per_second": round(analyze_rate, 1),
-            "throughput_enforced": not args.check,
-            "associations": store_analysis.duration_count,
-            "distinct_v4": len(store_analysis.v4_keys),
-            "distinct_v6": len(store_analysis.v6_keys),
+            "throughput_enforced": ctx.enforce,
+            "min_analyze_tuples_per_second": MIN_STORE_TUPLES_PER_SECOND,
+            "associations": analysis.duration_count,
+            "distinct_v4": len(analysis.v4_keys),
+            "distinct_v6": len(analysis.v6_keys),
             "peak_rss_delta_bytes": rss_delta,
             "materialized_triples_bytes": footprint,
             "rss_fraction_of_materialized": (
                 round(rss_fraction, 4) if rss_fraction is not None else None
             ),
             "rss_gate_fraction": STORE_RSS_GATE,
-            "parity": store_parity,
-        }
+            "parity": parity,
+        }}, failures
 
-    # End-to-end report stage: the full artifact suite
-    # (analyze_atlas_scenario + periodicity_for_scenario) under the
-    # fused engine with column packs invalidated first, so it pays its
-    # own packing cost.  Its global pass must stay bit-identical to the
-    # per-AS py reference artifacts of the analysis stages above and, in
-    # full mode, beat their summed wall time end to end.  A second fused
-    # run fans the per-AS work out to a worker pool over the memmapped
-    # arena to record the zero-copy handoff's wall time and peak-RSS
-    # delta.
 
-    def _report_suite(engine_name, workers=None, profile_tag=None):
-        serial_atlas.invalidate_analysis_columns()
+def stage_report(ctx: BenchContext):
+    """The end-to-end fused report suite, serial and pooled.
+
+    All artifacts plus periodicity, with the column packs dropped first
+    so each run pays its own packing.  Both runs must equal the ``py``
+    artifacts, and in full mode the serial one must beat the summed
+    ``py`` stages.  Records the peak-RSS delta of each run, the pooled
+    one being the zero-copy worker fan-out.
+    """
+    atlas = ctx.scenarios["atlas"]
+    py_results, py_timings = ctx.analysis["py"]
+
+    def _report_suite(name, workers=None):
+        atlas.invalidate_analysis_columns()
         rss_start = current_rss_bytes()
-        with maybe_profile(profile_tag or f"report_{engine_name}"), \
-                RssSampler() as sampler:
-            start = time.perf_counter()
-            analysis = analyze_atlas_scenario(
-                serial_atlas, engine=engine_name, workers=workers
-            )
-            periods = periodicity_for_scenario(
-                serial_atlas, min_probes=2, engine=engine_name
-            )
-            elapsed = time.perf_counter() - start
-        rss_delta = (
-            sampler.peak_bytes - rss_start
-            if sampler.peak_bytes is not None and rss_start is not None
-            else None
-        )
-        return analysis, periods, elapsed, rss_delta
+        with RssSampler() as sampler, _span(name) as timed:
+            analysis = analyze_atlas_scenario(atlas, engine="fused", workers=workers)
+            periods = periodicity_for_scenario(atlas, min_probes=2, engine="fused")
+        return analysis, periods, timed.duration, _rss_delta(sampler, rss_start)
 
-    fused_report, fused_report_periods, report_fused_s, report_fused_rss = (
-        _report_suite("fused")
+    fused, fused_periods, fused_s, fused_rss = _report_suite("fused")
+    pooled, pooled_periods, pooled_s, pooled_rss = _report_suite(
+        "fused_workers", workers=ctx.args.workers
     )
-    report_parity = (
-        list(fused_report.table1.values()) == py_results["table1"]
-        and fused_report.figure1 == py_results["figure1"]
-        and fused_report.figure5 == py_results["figure5"]
-        and fused_report.table2 == py_results["table2"]
-        and fused_report_periods == py_results["periodicity"]
+    failures = []
+    parity = (
+        list(fused.table1.values()) == py_results["table1"]
+        and fused.figure1 == py_results["figure1"]
+        and fused.figure5 == py_results["figure5"]
+        and fused.table2 == py_results["table2"]
+        and fused_periods == py_results["periodicity"]
     )
-    if not report_parity:
+    if not parity:
         failures.append("report stage parity violated: fused != py artifacts")
-    fused_par, fused_par_periods, report_fused_par_s, report_fused_par_rss = (
-        _report_suite("fused", workers=args.workers,
-                      profile_tag="report_fused_workers")
-    )
-    workers_parity = (
-        fused_par == fused_report and fused_par_periods == fused_report_periods
-    )
+    workers_parity = pooled == fused and pooled_periods == fused_periods
     if not workers_parity:
-        failures.append(
-            "report stage parity violated: fused workers != fused serial"
-        )
-    report_py_s = sum(py_timings.values())
-    report_speedup = report_py_s / max(report_fused_s, 1e-9)
-    report_enforced = not args.check
-    if report_enforced and report_fused_s >= report_py_s:
-        failures.append(
-            f"fused end-to-end report {report_fused_s:.3f}s not faster "
-            f"than the py reference {report_py_s:.3f}s"
-        )
-
-    def _mib(value):
-        return f"{value / 2**20:.0f} MiB" if value is not None else "n/a"
-
+        failures.append("report stage parity violated: fused workers != fused serial")
+    py_s = sum(py_timings.values())
+    speedup = py_s / max(fused_s, 1e-9)
+    if ctx.enforce and fused_s >= py_s:
+        failures.append(f"fused end-to-end report {fused_s:.3f}s not faster "
+                        f"than the py reference {py_s:.3f}s")
     print(
-        f"report: py {report_py_s:.3f}s, fused {report_fused_s:.3f}s "
-        f"({report_speedup:.2f}x, peak RSS delta {_mib(report_fused_rss)}), fused "
-        f"{args.workers} workers {report_fused_par_s:.3f}s "
-        f"({_mib(report_fused_par_rss)}) — artifacts identical"
+        f"report: py {py_s:.3f}s, fused {fused_s:.3f}s ({speedup:.2f}x, peak "
+        f"RSS delta {_mib(fused_rss)}), fused {ctx.args.workers} workers "
+        f"{pooled_s:.3f}s ({_mib(pooled_rss)}) — artifacts identical"
     )
-    report_stats = {
-        "py_seconds": round(report_py_s, 4),
-        "fused_seconds": round(report_fused_s, 4),
-        "fused_speedup": round(report_speedup, 4),
-        "fused_workers_seconds": round(report_fused_par_s, 4),
-        "workers": args.workers,
-        "fused_peak_rss_delta_bytes": report_fused_rss,
-        "fused_workers_peak_rss_delta_bytes": report_fused_par_rss,
-        "parity": report_parity,
+    return {"report": {
+        "py_seconds": round(py_s, 4),
+        "fused_seconds": round(fused_s, 4),
+        "fused_speedup": round(speedup, 4),
+        "fused_workers_seconds": round(pooled_s, 4),
+        "workers": ctx.args.workers,
+        "fused_peak_rss_delta_bytes": fused_rss,
+        "fused_workers_peak_rss_delta_bytes": pooled_rss,
+        "parity": parity,
         "workers_parity": workers_parity,
-        "speedup_enforced": report_enforced,
-    }
+        "speedup_enforced": ctx.enforce,
+    }}, failures
 
-    serve_registry = ArtifactRegistry(name="bench")
-    serve_engine = QueryEngine(serial_atlas, registry=serve_registry)
-    observed = observed_prefixes(serial_atlas, 4, 24)
-    n_serve_queries = 64
-    serve_queries = [
-        StabilityQuery(observed[index % len(observed)])
-        for index in range(n_serve_queries)
-    ]
-    with maybe_profile("serve_cold"):
-        start = time.perf_counter()
-        serve_engine.run(serve_queries[0])
-        serve_cold_s = time.perf_counter() - start
-    start = time.perf_counter()
-    serve_engine.run(serve_queries[0])
-    serve_warm_s = time.perf_counter() - start
-    with maybe_profile("serve_sequential"):
-        start = time.perf_counter()
-        sequential_results = [serve_engine.run(q) for q in serve_queries]
-        serve_sequential_s = time.perf_counter() - start
-    with maybe_profile("serve_batched"):
-        start = time.perf_counter()
-        batched_results = serve_engine.run_batch(serve_queries)
-        serve_batched_s = time.perf_counter() - start
+
+def stage_serve(ctx: BenchContext):
+    """The ``repro.serve`` query engine.
+
+    Times cold vs warm artifact latency and 64 coalesced queries batched
+    vs sequential (:data:`MIN_SERVE_SPEEDUP` in full mode).  A warm
+    registry must not recompute, and served results must equal direct
+    ones for every query family on a small dedicated scenario.
+    """
+    registry = ArtifactRegistry(name="bench")
+    engine = QueryEngine(ctx.scenarios["atlas"], registry=registry)
+    observed = observed_prefixes(ctx.scenarios["atlas"], 4, 24)
+    n_queries = 64
+    queries = [StabilityQuery(observed[index % len(observed)])
+               for index in range(n_queries)]
+    with _span("cold") as cold:
+        engine.run(queries[0])
+    with _span("warm") as warm:
+        engine.run(queries[0])
+    with _span("sequential") as sequential:
+        sequential_results = [engine.run(query) for query in queries]
+    with _span("batched") as batched:
+        batched_results = engine.run_batch(queries)
+    failures = []
     if batched_results != sequential_results:
-        failures.append(
-            "serve stage parity violated: batched != sequential results"
-        )
-    if serve_registry.stats.misses != 1:
-        failures.append(
-            "serve stage recomputed analysis on a warm registry "
-            f"(misses={serve_registry.stats.misses}, expected 1)"
-        )
-    # Full parity gate against the pure-Python reference on a small
-    # dedicated scenario: every query family, every run.
-    serve_parity = serve_diffs(
-        probes_per_as=2, years=0.4, seed=args.seed, max_prefixes=2, budget=4
+        failures.append("serve stage parity violated: batched != sequential results")
+    if registry.stats.misses != 1:
+        failures.append("serve stage recomputed analysis on a warm registry "
+                        f"(misses={registry.stats.misses}, expected 1)")
+    parity = serve_diffs(
+        probes_per_as=2, years=0.4, seed=ctx.args.seed, max_prefixes=2, budget=4
     )
-    for diff in serve_parity:
-        failures.append(f"serve stage parity violated: {diff}")
-    serve_batch_speedup = serve_sequential_s / max(serve_batched_s, 1e-9)
-    serve_enforced = not args.check
-    if serve_enforced and serve_batch_speedup < args.min_serve_speedup:
-        failures.append(
-            f"serve batching speedup {serve_batch_speedup:.2f}x below "
-            f"required {args.min_serve_speedup:.2f}x on "
-            f"{n_serve_queries} coalesced queries"
-        )
+    failures.extend(f"serve stage parity violated: {diff}" for diff in parity)
+    speedup = sequential.duration / max(batched.duration, 1e-9)
+    if ctx.enforce and speedup < MIN_SERVE_SPEEDUP:
+        failures.append(f"serve batching speedup {speedup:.2f}x below required "
+                        f"{MIN_SERVE_SPEEDUP:.2f}x on {n_queries} coalesced queries")
     print(
-        f"serve: cold {serve_cold_s:.3f}s, warm {serve_warm_s * 1e3:.2f}ms, "
-        f"{n_serve_queries} queries sequential {serve_sequential_s:.3f}s vs "
-        f"batched {serve_batched_s:.3f}s ({serve_batch_speedup:.2f}x), "
-        f"direct-parity diffs {len(serve_parity)}"
+        f"serve: cold {cold.duration:.3f}s, warm {warm.duration * 1e3:.2f}ms, "
+        f"{n_queries} queries sequential {sequential.duration:.3f}s vs "
+        f"batched {batched.duration:.3f}s ({speedup:.2f}x), "
+        f"direct-parity diffs {len(parity)}"
     )
-    serve_stats = {
-        "cold_seconds": round(serve_cold_s, 4),
-        "warm_seconds": round(serve_warm_s, 6),
-        "queries": n_serve_queries,
-        "sequential_seconds": round(serve_sequential_s, 4),
-        "batched_seconds": round(serve_batched_s, 4),
-        "batch_speedup": round(serve_batch_speedup, 4),
-        "parity_diffs": len(serve_parity),
-        "registry": serve_registry.stats.as_dict(),
-        "artifact_bytes": serve_registry.total_bytes,
-        "speedup_enforced": serve_enforced,
-    }
+    return {"serve": {
+        "cold_seconds": round(cold.duration, 4),
+        "warm_seconds": round(warm.duration, 6),
+        "queries": n_queries,
+        "sequential_seconds": round(sequential.duration, 4),
+        "batched_seconds": round(batched.duration, 4),
+        "batch_speedup": round(speedup, 4),
+        "min_batch_speedup": MIN_SERVE_SPEEDUP,
+        "parity_diffs": len(parity),
+        "registry": registry.stats.as_dict(),
+        "artifact_bytes": registry.total_bytes,
+        "speedup_enforced": ctx.enforce,
+    }}, failures
 
-    # Observability plane: the instrumentation must be near-free when
-    # telemetry is *disabled* (the default), and the cross-process trace
-    # stitching must not perturb pooled fused artifacts.  The overhead
-    # gate re-times the same analysis stages measured earlier — both
-    # runs execute every guarded metric/span call site, so the ratio
-    # catches a disabled-path helper growing real work.
-    with maybe_profile("obs_disabled_overhead"):
-        start = time.perf_counter()
-        obs_results, obs_timings = _run_analysis(serial_atlas, "fused")
-        obs_disabled_s = time.perf_counter() - start
-    if obs_results != fused_results:
+
+def stage_obs(ctx: BenchContext):
+    """The observability plane: the cost of telemetry and its invariance.
+
+    A disabled-telemetry fused rerun right after the report stage (so it
+    repacks the columns the report dropped) over the analysis stage's
+    fused sum is ``disabled_overhead``, bounded by
+    :data:`MAX_OBS_OVERHEAD`.  That rerun is also the warm-up for
+    :data:`TELEMETRY_PAIRS` off/on pairs of the warm fused analysis, in
+    alternating order: ``telemetry`` records each side's median and
+    their ratio.  Every run must equal the analysis stage's fused
+    artifacts, and pooled, cross-process stitched tracing must leave the
+    scenario and artifacts bit-identical (always enforced).
+    """
+    atlas = ctx.scenarios["atlas"]
+    fused_results, fused_timings = ctx.analysis["fused"]
+    with telemetry(False), _span("disabled_rerun") as rerun:
+        results, _ = _run_analysis(atlas, "fused")
+    parity = {False: results == fused_results, True: True}
+    seconds = {False: [], True: []}
+    for pair in range(TELEMETRY_PAIRS):
+        for enabled in (False, True) if pair % 2 == 0 else (True, False):
+            name = "telemetry_on" if enabled else "telemetry_off"
+            with telemetry(enabled), _span(name) as timed:
+                results, _ = _run_analysis(atlas, "fused")
+            seconds[enabled].append(timed.duration)
+            parity[enabled] = parity[enabled] and results == fused_results
+    failures = []
+    if not parity[True]:
         failures.append(
-            "obs stage parity violated: instrumented rerun != reference"
+            "telemetry parity violated: artifacts change with telemetry enabled"
         )
-    obs_baseline_s = sum(fused_timings.values())
-    obs_overhead = obs_disabled_s / max(obs_baseline_s, 1e-9)
-    obs_enforced = not args.check
-    if obs_enforced and obs_overhead > args.max_obs_overhead:
-        failures.append(
-            f"disabled-telemetry overhead {obs_overhead:.3f}x exceeds "
-            f"allowed {args.max_obs_overhead:.2f}x"
-        )
-    # Stitched-trace invariance: pooled fused analysis with worker
-    # span buffers flowing back to the parent must stay bit-identical
-    # to the untraced run.  Always enforced — determinism does not
-    # depend on the hardware.
-    with maybe_profile("obs_stitch_invariance"):
-        start = time.perf_counter()
+    if not parity[False]:
+        failures.append("obs stage parity violated: instrumented rerun != reference")
+    enabled_s = statistics.median(seconds[True])
+    warm_disabled_s = statistics.median(seconds[False])
+    ratio = enabled_s / max(warm_disabled_s, 1e-9)
+    baseline_s = sum(fused_timings.values())
+    overhead = rerun.duration / max(baseline_s, 1e-9)
+    if ctx.enforce and overhead > MAX_OBS_OVERHEAD:
+        failures.append(f"disabled-telemetry overhead {overhead:.3f}x exceeds "
+                        f"allowed {MAX_OBS_OVERHEAD:.2f}x")
+    atlas_scale = ctx.scale["atlas"]
+    with _span("stitch_invariance") as stitch:
         stitch_diffs = telemetry_invariance_diffs(
-            probes_per_as=4, years=0.4, seed=args.seed, workers=2
+            probes_per_as=max(4, atlas_scale["probes_per_as"]),
+            years=max(0.4, atlas_scale["years"]),
+            seed=ctx.args.seed,
+            workers=2,
         )
-        obs_stitch_s = time.perf_counter() - start
-    for diff in stitch_diffs:
-        failures.append(f"obs stage invariance violated: {diff}")
+    failures.extend(f"obs stage invariance violated: {diff}" for diff in stitch_diffs)
+    print(f"telemetry: warm fused analysis {enabled_s:.3f}s with spans+metrics on "
+          f"(off: {warm_disabled_s:.3f}s, {ratio:.2f}x, median of {TELEMETRY_PAIRS} "
+          "pairs) — artifacts identical")
     print(
-        f"obs: disabled-telemetry analysis {obs_disabled_s:.3f}s vs "
-        f"{obs_baseline_s:.3f}s baseline ({obs_overhead:.2f}x"
-        + ("" if obs_enforced else ", not enforced")
-        + f"), stitched pooled invariance {obs_stitch_s:.2f}s "
+        f"obs: disabled-telemetry analysis {rerun.duration:.3f}s vs "
+        f"{baseline_s:.3f}s baseline ({overhead:.2f}x"
+        + ("" if ctx.enforce else ", not enforced")
+        + f"), stitched pooled invariance {stitch.duration:.2f}s "
         + ("clean" if not stitch_diffs else f"{len(stitch_diffs)} DIFFS")
     )
-    obs_stats = {
-        "disabled_seconds": round(obs_disabled_s, 4),
-        "baseline_seconds": round(obs_baseline_s, 4),
-        "disabled_overhead": round(obs_overhead, 4),
-        "max_overhead": args.max_obs_overhead,
-        "overhead_enforced": obs_enforced,
-        "stitch_seconds": round(obs_stitch_s, 4),
-        "stitch_workers": 2,
-        "stitch_diffs": len(stitch_diffs),
-    }
+    return {
+        "telemetry": {
+            "enabled_seconds": round(enabled_s, 4),
+            "disabled_seconds": round(warm_disabled_s, 4),
+            "ratio": round(ratio, 4),
+            "parity": parity[True],
+        },
+        "obs": {
+            "disabled_seconds": round(rerun.duration, 4),
+            "baseline_seconds": round(baseline_s, 4),
+            "disabled_overhead": round(overhead, 4),
+            "max_overhead": MAX_OBS_OVERHEAD,
+            "overhead_enforced": ctx.enforce,
+            "stitch_seconds": round(stitch.duration, 4),
+            "stitch_workers": 2,
+            "stitch_diffs": len(stitch_diffs),
+        },
+    }, failures
 
-    total_serial = atlas_serial_s + cdn_serial_s
-    total_parallel = atlas_parallel_s + cdn_parallel_s
-    speedup = total_serial / max(total_parallel, 1e-9)
-    cores = os.cpu_count() or 1
-    speedup_enforced = not args.check and cores >= 2 and args.workers >= 2
-    print(f"build speedup with {args.workers} workers on {cores} core(s): "
-          f"{speedup:.2f}x" + ("" if speedup_enforced else " (not enforced)"))
-    if speedup_enforced and speedup < args.min_speedup:
-        failures.append(
-            f"parallel speedup {speedup:.2f}x below required {args.min_speedup:.2f}x"
-        )
 
+#: The bench stages in run order: ``(span name, stage)``.  A stage
+#: returns ``(payload sections, failure strings)``.
+STAGES = (
+    ("build", stage_build),
+    ("cache", stage_cache),
+    ("analysis", stage_analysis),
+    ("streaming", stage_streaming),
+    ("store", stage_store),
+    ("report", stage_report),
+    ("serve", stage_serve),
+    ("obs", stage_obs),
+)
+
+
+def run_baseline(args: argparse.Namespace) -> dict:
+    """Run :data:`STAGES`, record the payload, exit 1 on any failure."""
+    ctx = BenchContext(args, CHECK_SCALE if args.check else FULL_SCALE,
+                       enforce=not args.check)
     payload = {
         "mode": "check" if args.check else "full",
         "workers": args.workers,
-        "cpu_count": cores,
+        "cpu_count": os.cpu_count() or 1,
         "seed": args.seed,
-        "build": {
-            "atlas": {
-                "serial_seconds": round(atlas_serial_s, 4),
-                "parallel_seconds": round(atlas_parallel_s, 4),
-                **scale["atlas"],
-            },
-            "cdn": {
-                "serial_seconds": round(cdn_serial_s, 4),
-                "parallel_seconds": round(cdn_parallel_s, 4),
-                **scale["cdn"],
-            },
-        },
-        "cache": {
-            "cold_seconds": round(cache_cold_s, 4),
-            "warm_seconds": round(cache_warm_s, 4),
-        },
-        "analysis": {
-            "default_engine": resolve_engine(None),
-            "stages": analysis_stages,
-            "parity": analysis_parity,
-            "table1_speedup_enforced": analysis_enforced,
-            "table2_speedup_enforced": analysis_enforced,
-            "periodicity_speedup_enforced": analysis_enforced,
-        },
-        "telemetry": telemetry_stats,
-        "streaming": streaming,
-        "store": store_stats,
-        "report": report_stats,
-        "serve": serve_stats,
-        "obs": obs_stats,
-        "speedup": round(speedup, 4),
-        "speedup_enforced": speedup_enforced,
-        "peak_rss_bytes": current_rss_bytes(),
-        "deterministic": True,
     }
+    failures = []
+    with get_tracer().span("bench_baseline", mode=payload["mode"]):
+        for name, stage in STAGES:
+            with maybe_profile(f"bench_{name}"), _span(name):
+                sections, stage_failures = stage(ctx)
+            payload.update(sections)
+            failures.extend(stage_failures)
+    if os.environ.get(TELEMETRY_ENV, "").strip():
+        print(f"telemetry trace written to {export_trace('bench_baseline')}")
+    payload.update(peak_rss_bytes=current_rss_bytes(), deterministic=True)
+
     write_baseline("bench_baseline", payload, path=args.output)
     print(f"baseline written to {args.output}")
     history_path = append_history(
@@ -900,36 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="CI smoke mode: tiny scales, no speedup assertion")
     parser.add_argument("--workers", type=int, default=4,
                         help="parallel worker count to benchmark (default: 4)")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required serial/parallel speedup on multi-core "
-                        "hosts (default: 2.0)")
-    parser.add_argument("--min-analysis-speedup", type=float, default=3.0,
-                        help="required py/fused speedup on the Table 1 analysis "
-                        "stage in full mode (default: 3.0)")
-    parser.add_argument("--min-table2-speedup", type=float, default=5.0,
-                        help="required py/fused speedup on the Table 2 analysis "
-                        "stage in full mode (default: 5.0)")
-    parser.add_argument("--min-periodicity-speedup", type=float, default=20.0,
-                        help="required py/fused speedup on the periodicity "
-                        "detection stage in full mode (default: 20.0)")
-    parser.add_argument("--store-tuples", type=int, default=None,
-                        help="override the out-of-core store tuple count "
-                        "(default: 100M full / 1M check)")
-    parser.add_argument("--min-store-tuples-per-second", type=float,
-                        default=100_000.0,
-                        help="required out-of-core analyze throughput in "
-                        "full mode (default: 100000)")
-    parser.add_argument("--min-serve-speedup", type=float, default=2.0,
-                        help="required batched-vs-sequential serve query "
-                        "speedup on 64 coalesced queries in full mode "
-                        "(default: 2.0)")
-    parser.add_argument("--max-obs-overhead", type=float, default=1.05,
-                        help="allowed disabled-telemetry analysis overhead "
-                        "ratio in full mode (default: 1.05)")
-    parser.add_argument("--min-store-build-speedup", type=float, default=2.0,
-                        help="required parallel-vs-serial store build "
-                        "tuples/s speedup in full mode on multi-core hosts "
-                        "(default: 2.0)")
     parser.add_argument("--seed", type=int, default=2020)
     parser.add_argument("--output", type=Path,
                         default=_REPO_ROOT / "BENCH_baseline.json",

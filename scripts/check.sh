@@ -6,8 +6,9 @@
 # Runs, in order:
 #   1. ruff check src/ tests/ scripts/   (skipped when ruff is not installed)
 #   2. python -m pytest -x -q            (the tier-1 suite)
-#   3. python -m scripts.bench_baseline --check   (incl. the obs stage:
-#      disabled-telemetry overhead + stitched pooled-trace invariance)
+#   3. python -m scripts.bench_baseline --check   (every entry of its
+#      span-timed stage table; parity and determinism gates enforced,
+#      hardware-dependent speedup and overhead bounds recorded only)
 #   4. python -m scripts.bench_report --check   (perf-trend regression gate)
 #
 # Exits non-zero on the first failure.

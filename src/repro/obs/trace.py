@@ -176,9 +176,13 @@ class Tracer:
             self.roots.append(span)
 
     def reset(self) -> None:
-        """Drop finished trees and restart the epoch (open spans survive)."""
+        """Drop finished trees and start a new trace id.
+
+        Open spans survive, and the epoch is kept: a span open across
+        the reset ends on the timeline it started on, so its duration
+        and its children's offsets stay true.
+        """
         self.roots.clear()
-        self.epoch = time.perf_counter()
         self.trace_id = new_trace_id()
 
     def detach(self) -> None:

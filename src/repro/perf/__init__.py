@@ -1,4 +1,4 @@
-"""The performance engine: parallel fan-out, scenario cache, stage timing.
+"""The performance engine: parallel fan-out, scenario cache, perf artifacts.
 
 :func:`map_streamed` is the one process-pool primitive; the stages that
 fan out call it from the modules that own their data (ISP simulations,
@@ -26,7 +26,6 @@ from repro.perf.profiling import PROFILE_DIR_ENV, PROFILE_ENV, maybe_profile
 from repro.perf.timing import (
     DEFAULT_BASELINE_PATH,
     RssSampler,
-    StageTimer,
     current_rss_bytes,
     read_baseline,
     write_baseline,
@@ -40,7 +39,6 @@ __all__ = [
     "PROFILE_ENV",
     "RssSampler",
     "ScenarioCache",
-    "StageTimer",
     "WORKERS_ENV",
     "code_fingerprint",
     "current_rss_bytes",

@@ -25,6 +25,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional
 
+from repro.perf.timing import repo_root
+
 #: Environment switch: truthy values enable per-stage profiling.
 PROFILE_ENV = "REPRO_PROFILE"
 
@@ -47,15 +49,7 @@ def profile_dir() -> Path:
     override = os.environ.get(PROFILE_DIR_ENV, "").strip()
     if override:
         return Path(override)
-    return _repo_root() / DEFAULT_PROFILE_DIR
-
-
-def _repo_root() -> Path:
-    # Checkout root in a repo, CWD for an installed package — never a
-    # site-packages ancestor (see repro.perf.timing.repo_root).
-    from repro.perf.timing import repo_root
-
-    return repo_root()
+    return repo_root() / DEFAULT_PROFILE_DIR
 
 
 def _slug(stage: str) -> str:

@@ -76,12 +76,19 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert obs["disabled_overhead"] > 0
     assert obs["max_overhead"] == 1.05
     assert obs["overhead_enforced"] is False  # --check records, full gates
+    assert payload["telemetry"]["parity"] is True  # traced runs == fused reference
     history = tmp_path / "BENCH_history.jsonl"
     assert history.exists()
     records = [json.loads(line) for line in history.read_text().splitlines()]
     assert records and records[-1]["section"] == "bench_baseline"
     assert records[-1]["ok"] is True
     assert records[-1]["report"]["parity"] is True
+    # bench_report skips a stage its extractor finds no number for, so a
+    # key the bench stopped writing would silently switch its gate off.
+    from scripts.bench_report import RATE_EXTRACTORS, STAGE_EXTRACTORS
+
+    for label, extract in {**STAGE_EXTRACTORS, **RATE_EXTRACTORS}.items():
+        assert isinstance(extract(records[-1]), (int, float)), label
     out = capsys.readouterr().out
     assert "results identical" in out
     assert "artifacts identical" in out
@@ -97,6 +104,13 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "report_fused" in out
     assert "end_to_end" in out
+
+
+def test_bench_baseline_takes_only_run_options():
+    from scripts.bench_baseline import build_parser
+
+    options = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert options == {"-h", "--help", "--check", "--workers", "--seed", "--output"}
 
 
 def test_profile_hook_writes_artifacts(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 
 import pytest
 
@@ -121,6 +122,20 @@ def test_span_marks_errors_and_propagates():
         with tracer.span("doomed"):
             raise ValueError("boom")
     assert tracer.roots[0].attrs["error"] == "ValueError"
+
+
+def test_reset_keeps_open_span_timeline():
+    tracer = Tracer()
+    time.sleep(0.05)  # the outer span starts well after the epoch
+    with tracer.span("outer") as outer:
+        time.sleep(0.1)
+        tracer.reset()
+        with tracer.span("inner") as inner:
+            time.sleep(0.05)
+    assert outer.duration >= 0.15
+    assert inner.start >= outer.start
+    assert inner.duration >= 0.05
+    assert tracer.roots == [outer]
 
 
 def test_disabled_span_is_shared_noop():

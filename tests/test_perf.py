@@ -24,7 +24,7 @@ from repro.perf.parallel import (
     map_streamed,
     resolve_workers,
 )
-from repro.perf.timing import StageTimer, read_baseline, write_baseline
+from repro.perf.timing import read_baseline, write_baseline
 from repro.perf.verify import (
     assert_atlas_scenarios_equal,
     assert_cdn_scenarios_equal,
@@ -442,49 +442,8 @@ def test_code_fingerprint_stable():
 
 
 # ---------------------------------------------------------------------------
-# Stage timing and the baseline artifact
+# RSS probes and the baseline artifact
 # ---------------------------------------------------------------------------
-
-
-def test_stage_timer_accumulates():
-    timer = StageTimer()
-    timer.record("build", 1.25)
-    timer.record("build", 0.75)
-    timer.record("analyze", 0.5)
-    assert timer["build"] == 2.0
-    assert "analyze" in timer and "missing" not in timer
-    assert timer.total == 2.5
-    assert timer.as_dict() == {"build": 2.0, "analyze": 0.5}
-    with pytest.raises(ValueError):
-        timer.record("build", -1.0)
-
-
-def test_stage_timer_context_manager():
-    timer = StageTimer()
-    with timer.stage("work"):
-        pass
-    assert timer["work"] >= 0.0
-
-
-def test_stage_timer_duplicate_stage_names_accumulate():
-    timer = StageTimer()
-    with timer.stage("work"):
-        pass
-    with timer.stage("work"):  # re-entering the same name accumulates
-        pass
-    first_total = timer["work"]
-    timer.record("work", 1.0)
-    assert timer["work"] == first_total + 1.0
-    assert timer.as_dict().keys() == {"work"}
-
-
-def test_stage_timer_zero_duration_stage():
-    timer = StageTimer()
-    timer.record("instant", 0.0)
-    assert timer["instant"] == 0.0
-    assert "instant" in timer
-    assert timer.total == 0.0
-    assert timer.as_dict() == {"instant": 0.0}
 
 
 def test_current_rss_bytes_without_proc(monkeypatch):
@@ -530,11 +489,9 @@ def test_rss_sampler_tracks_peak(monkeypatch):
 
 def test_repo_root_in_checkout_and_installed(tmp_path, monkeypatch):
     from repro.perf import timing
-    from repro.perf.profiling import _repo_root
 
     checkout = timing.repo_root()
     assert (checkout / "pyproject.toml").is_file()
-    assert _repo_root() == checkout
 
     # Installed layout (site-packages has no pyproject.toml above it):
     # artifacts must land in the CWD, never in a Python prefix.
@@ -544,7 +501,6 @@ def test_repo_root_in_checkout_and_installed(tmp_path, monkeypatch):
     monkeypatch.setattr(timing, "__file__", str(fake))
     monkeypatch.chdir(tmp_path)
     assert timing.repo_root() == tmp_path
-    assert _repo_root() == tmp_path
 
 
 def test_write_baseline_merges_sections(tmp_path):
