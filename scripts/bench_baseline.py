@@ -54,6 +54,7 @@ from repro.perf.timing import (  # noqa: E402
 from repro.perf.verify import (  # noqa: E402
     assert_atlas_scenarios_equal,
     assert_cdn_scenarios_equal,
+    sanitize_diffs,
     serve_diffs,
     telemetry_invariance_diffs,
 )
@@ -275,8 +276,10 @@ def _store_parity(store, analysis) -> bool:
 def stage_build(ctx: BenchContext):
     """Atlas and CDN scenario builds, serial vs pooled.
 
-    The results must be identical, and where a pool can win the pooled
-    builds must be :data:`MIN_BUILD_SPEEDUP` faster.
+    The results must be identical, the fused and ``py`` sanitization of
+    the Atlas build must agree (:func:`sanitize_diffs`), and where a
+    pool can win the pooled builds must be :data:`MIN_BUILD_SPEEDUP`
+    faster.
     """
     args = ctx.args
     seconds = {}
@@ -297,13 +300,17 @@ def stage_build(ctx: BenchContext):
               f"{args.workers} workers {seconds[kind, 'parallel']:.2f}s "
               "— results identical")
 
+    atlas = ctx.scenarios["atlas"]
+    failures = [f"sanitize parity violated: {diff}"
+                for diff in sanitize_diffs(atlas.raw_probes, atlas.table)]
+    print("sanitize: fused and py " + ("agree" if not failures else "DIFFER"))
+
     speedup = sum(seconds[kind, "serial"] for kind in ("atlas", "cdn")) / max(
         sum(seconds[kind, "parallel"] for kind in ("atlas", "cdn")), 1e-9
     )
     enforced = _gate_pool_speedup(ctx)
     print(f"build speedup with {args.workers} workers on {os.cpu_count() or 1} "
           f"core(s): {speedup:.2f}x" + ("" if enforced else " (not enforced)"))
-    failures = []
     if enforced and speedup < MIN_BUILD_SPEEDUP:
         failures.append(f"parallel speedup {speedup:.2f}x below required "
                         f"{MIN_BUILD_SPEEDUP:.2f}x")

@@ -4,7 +4,8 @@
 subscriber timelines) and "deploys" probes onto subscriber lines
 according to :class:`ProbeSpec`.  For each probe it produces IP echo
 data in two equivalent encodings — hourly :class:`EchoRecord` streams
-and run-length :class:`EchoRun` lists.
+and run-length runs: a :class:`~repro.atlas.echo.RunSeries` per family
+under the ``fused`` engine, :class:`EchoRun` lists under ``py``.
 
 The platform also injects the deployment anomalies Appendix A.1 is
 designed to catch:
@@ -36,6 +37,7 @@ from repro.atlas.echo import (
     TEST_ADDRESS,
     EchoRecord,
     EchoRun,
+    RunSeries,
     merge_adjacent_equal,
 )
 from repro.atlas.probe import Probe
@@ -98,12 +100,17 @@ class ProbeSpec:
 
 @dataclass
 class ProbeData:
-    """Everything the sanitization pipeline needs for one probe."""
+    """Everything the sanitization pipeline needs for one probe.
+
+    The ``fused`` collection path stores each family's runs as a
+    :class:`RunSeries`; the ``py`` reference path stores ``EchoRun``
+    lists.  Both compare equal run for run.
+    """
 
     probe: Probe
     spec: ProbeSpec
-    v4_runs: List[EchoRun]
-    v6_runs: List[EchoRun]
+    v4_runs: Sequence[EchoRun]
+    v6_runs: Sequence[EchoRun]
     v4_src_public: bool = False
     v6_src_mismatch: bool = False
 
@@ -299,21 +306,27 @@ class AtlasPlatform:
         )
 
     def _probe_data_np(self, spec: ProbeSpec) -> ProbeData:
-        """Columnar collection path (same RNG stream as the reference)."""
+        """Columnar collection path (same RNG stream as the reference).
+
+        Each family's merged run arrays become a :class:`RunSeries`
+        as they are; no :class:`EchoRun` is built here.
+        """
         rng = self._rng_for(spec)
         windows = self.observation_windows(spec)
         rng_segments = random.Random(rng.getrandbits(32))
         timeline = self._timeline(spec.asn, spec.subscriber_id)
         dual_stack = timeline.dual_stack
 
-        v4_runs = _runs_from_arrays(
-            spec.probe_id, 4, self._run_arrays_for(spec, 4, rng_segments, windows)
-        )
-        v6_runs: List[EchoRun] = []
-        if dual_stack:
-            v6_runs = _runs_from_arrays(
-                spec.probe_id, 6, self._run_arrays_for(spec, 6, rng_segments, windows)
+        def series(family: int) -> RunSeries:
+            first, last, observed, max_gap, value_hi, value_lo = self._run_arrays_for(
+                spec, family, rng_segments, windows
             )
+            return RunSeries(
+                spec.probe_id, family, value_hi, value_lo, first, last, observed, max_gap
+            )
+
+        v4_runs = series(4)
+        v6_runs = series(6) if dual_stack else RunSeries.from_runs((), spec.probe_id, 6)
 
         probe = Probe(
             probe_id=spec.probe_id, asn=spec.asn, tags=spec.tags, dual_stack=dual_stack
@@ -325,49 +338,6 @@ class AtlasPlatform:
             v6_runs=v6_runs,
             v4_src_public=spec.anomaly == "public_v4_src",
             v6_src_mismatch=spec.anomaly == "v6_src_mismatch",
-        )
-
-    def run_columns(self, specs: Sequence[ProbeSpec], family: int):
-        """CSR run columns of many probes, packed straight from timelines.
-
-        Returns a :class:`repro.core.analysis_np.RunColumns` over
-        ``specs`` (one slice per spec, in order) without materializing
-        per-hour :class:`EchoRecord` streams or per-run
-        :class:`EchoRun` objects — the collection-side columnar fast
-        path.  Dual-stack gating matches :meth:`probe_data`: a spec on a
-        v4-only subscriber line contributes an empty IPv6 slice.
-        """
-        from repro.core.analysis_np import RunColumns
-
-        per_probe: List[Tuple[np.ndarray, ...]] = []
-        for spec in specs:
-            rng = self._rng_for(spec)
-            windows = self.observation_windows(spec)
-            rng_segments = random.Random(rng.getrandbits(32))
-            if family == 6 and not self._timeline(spec.asn, spec.subscriber_id).dual_stack:
-                per_probe.append(_EMPTY_RUN_ARRAYS)
-                continue
-            per_probe.append(self._run_arrays_for(spec, family, rng_segments, windows))
-
-        counts = np.fromiter(
-            (len(arrays[0]) for arrays in per_probe), dtype=np.int64, count=len(per_probe)
-        )
-        offsets = np.zeros(len(per_probe) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-
-        def cat(index: int, dtype) -> np.ndarray:
-            if not per_probe:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([arrays[index] for arrays in per_probe]).astype(dtype)
-
-        return RunColumns(
-            offsets=offsets,
-            first=cat(0, np.int64),
-            last=cat(1, np.int64),
-            observed=cat(2, np.int64),
-            max_gap=cat(3, np.int64),
-            value_hi=cat(4, np.uint64),
-            value_lo=cat(5, np.uint64),
         )
 
     # -- columnar collection internals ------------------------------------
@@ -700,30 +670,6 @@ def _merge_equal_run_arrays(
         value_hi[group_starts],
         value_lo[group_starts],
     )
-
-
-def _runs_from_arrays(
-    probe_id: int, family: int, arrays: Tuple[np.ndarray, ...]
-) -> List[EchoRun]:
-    """Materialize merged run arrays as the reference's EchoRun list."""
-    first, last, observed, max_gap, value_hi, value_lo = arrays
-    value_of = (
-        (lambda hi, lo: IPv4Address(int(lo)))
-        if family == 4
-        else (lambda hi, lo: IPv6Address((int(hi) << 64) | int(lo)))
-    )
-    return [
-        EchoRun(
-            probe_id=probe_id,
-            family=family,
-            value=value_of(hi, lo),
-            first=int(f),
-            last=int(l),
-            observed=int(o),
-            max_gap=int(g),
-        )
-        for f, l, o, g, hi, lo in zip(first, last, observed, max_gap, value_hi, value_lo)
-    ]
 
 
 def _segments_to_runs(

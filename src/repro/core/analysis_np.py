@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.atlas.echo import EchoRun
+from repro.atlas.echo import RUN_FIELDS, EchoRun, RunSeries
 from repro.bgp.table import RoutingTable
 from repro.core.arena import ColumnArena
 from repro.core.periodicity import CANONICAL_PERIODS, PeriodicMode
@@ -139,7 +139,9 @@ def columns_from_runs(
 
     ``value_type`` optionally enforces the run value class (mirroring
     :func:`repro.core.changes.v6_runs_to_prefix_runs`'s type check);
-    prefix-valued runs are packed by their network address.  Every
+    prefix-valued runs are packed by their network address.  When every
+    probe's runs are a :class:`~repro.atlas.echo.RunSeries`, the pack
+    concatenates their arrays without building a run.  Otherwise every
     field is gathered by a C-level ``map`` into ``np.fromiter``; the
     value types are checked once over their distinct set.
     """
@@ -149,6 +151,8 @@ def columns_from_runs(
     counts = np.fromiter(map(len, probes), dtype=np.int64, count=len(probes))
     offsets = np.zeros(len(probes) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
+    if probes and all(isinstance(runs, RunSeries) for runs in probes):
+        return _concat_series(probes, offsets, value_type)
     total = int(offsets[-1])
     flat = list(chain.from_iterable(probes))
 
@@ -176,6 +180,24 @@ def columns_from_runs(
         last=column("last"),
         observed=column("observed"),
         max_gap=column("max_gap"),
+    )
+
+
+def _concat_series(
+    series: Sequence[RunSeries],
+    offsets: np.ndarray,
+    value_type: Optional[Type[IPAddress]],
+) -> RunColumns:
+    """The :class:`RunColumns` of run series: their arrays, concatenated."""
+    if value_type is not None:
+        for runs in series:
+            if len(runs) and not issubclass(runs.value_type, value_type):
+                raise TypeError(
+                    f"expected {value_type.__name__} runs, got {runs.value_type.__name__}"
+                )
+    return RunColumns(
+        offsets,
+        *(np.concatenate([getattr(runs, name) for runs in series]) for name, _ in RUN_FIELDS),
     )
 
 
@@ -590,20 +612,30 @@ class _RouteIntervalIndex:
     ``[bounds[k], bounds[k + 1])``; ``bounds[0]`` is 0 so every address
     lands in exactly one interval.  Because routed prefixes nest or are
     disjoint (never partially overlap), a single left-to-right sweep
-    with a containment stack flattens the trie exactly.
+    with a containment stack flattens the trie exactly.  ``origins``
+    maps a route id to its origin ASN and ends in one 0 entry, which
+    route id -1 (unrouted) indexes.
     """
 
     bounds: np.ndarray  # uint64, strictly increasing, bounds[0] == 0
     ids: np.ndarray  # int64, -1 = unrouted
+    origins: np.ndarray  # int64, (n_routes + 1,): route id -> origin ASN, then 0
 
     def lookup(self, addresses: np.ndarray) -> np.ndarray:
         """Route id of each address (-1 = unrouted)."""
         return self.ids[np.searchsorted(self.bounds, addresses, side="right") - 1]
 
+    def origin_asns(self, addresses: np.ndarray) -> np.ndarray:
+        """Origin ASN of each address (0 = unrouted; ASNs are positive)."""
+        return self.origins[self.lookup(addresses)]
 
-def _interval_index(prefixes: Sequence[Tuple[int, int]], bits: int) -> _RouteIntervalIndex:
+
+def _interval_index(
+    prefixes: Sequence[Tuple[int, int]], bits: int, origins: Sequence[int]
+) -> _RouteIntervalIndex:
     """Flatten ``(network, plen)`` prefixes into a :class:`_RouteIntervalIndex`
-    over a ``bits``-wide address space.  Route ids are list positions."""
+    over a ``bits``-wide address space.  Route ids are list positions;
+    ``origins`` holds each route's origin ASN."""
     bounds: List[int] = [0]
     ids: List[int] = [-1]
     limit = 1 << bits
@@ -632,7 +664,9 @@ def _interval_index(prefixes: Sequence[Tuple[int, int]], bits: int) -> _RouteInt
         finished_end, _ = stack.pop()
         emit(finished_end, stack[-1][1] if stack else -1)
     return _RouteIntervalIndex(
-        bounds=np.array(bounds, dtype=np.uint64), ids=np.array(ids, dtype=np.int64)
+        bounds=np.array(bounds, dtype=np.uint64),
+        ids=np.array(ids, dtype=np.int64),
+        origins=np.array(list(origins) + [0], dtype=np.int64),
     )
 
 
@@ -642,9 +676,12 @@ def _route_interval_index(
     """Interval index over one family of ``table``'s routes.
 
     For IPv6 the index lives in the top-64-bit space (queries are
-    ``value_hi`` columns), so callers must cap ``max_plen`` at 64.
+    ``value_hi`` columns).  Routes longer than ``max_plen`` are left
+    out; an IPv6 route longer than /64 that is not left out raises
+    ``ValueError`` naming it, since the index cannot resolve it.
     """
     prefixes: List[Tuple[int, int]] = []
+    origins: List[int] = []
     for route in table.routes():
         prefix = route.prefix
         if prefix.family != family:
@@ -653,9 +690,15 @@ def _route_interval_index(
             continue
         network = int(prefix.network)
         if family == 6:
+            if prefix.plen > 64:
+                raise ValueError(
+                    f"route {prefix} (origin AS{route.origin_asn}) is longer than /64; "
+                    "the top-64-bit route index cannot resolve it"
+                )
             network >>= 64
         prefixes.append((network, prefix.plen))
-    return _interval_index(prefixes, 32 if family == 4 else 64)
+        origins.append(route.origin_asn)
+    return _interval_index(prefixes, 32 if family == 4 else 64, origins)
 
 
 # ---------------------------------------------------------------------------

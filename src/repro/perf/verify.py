@@ -10,6 +10,9 @@ Deliberately not compared: object identities, RNG internals, and the
 CDN classifier's lookup caches (a warm cache is an optimization, not an
 observable).
 
+:func:`sanitize_diffs` holds the two sanitization engines to the same
+bar: equal reports and equal survivors, run column by run column.
+
 The same contract applies to the analysis engines:
 :func:`analysis_engine_diffs` compares every report-layer artifact
 (Table 1/2, Figures 1/5, duration populations) computed by the fused
@@ -29,7 +32,7 @@ the buffer-backed pack.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -97,6 +100,57 @@ def cdn_scenario_diffs(a: CdnScenario, b: CdnScenario) -> List[str]:
             if not np.array_equal(getattr(triples_a, column), getattr(triples_b, column)):
                 diffs.append(f"dataset.triples_by_asn[{asn}].{column} differs")
     return diffs
+
+
+def sanitize_diffs(raw_probes: Sequence, table) -> List[str]:
+    """Fused-vs-py sanitization differences ([] if equal).
+
+    Runs :func:`repro.atlas.sanitize.sanitize` over ``raw_probes`` under
+    both engines.  Names every differing
+    :class:`~repro.atlas.sanitize.SanitizationReport` field, a differing
+    survivor count, and for each survivor its ``probe_id`` and the first
+    differing field or run column (``v4_runs.first``, ...).
+    """
+    from dataclasses import fields
+
+    from repro.atlas.sanitize import SanitizationReport, sanitize
+
+    fused, fused_report = sanitize(raw_probes, table, engine="fused")
+    reference, reference_report = sanitize(raw_probes, table, engine="py")
+    diffs = [
+        f"report.{name}: fused {getattr(fused_report, name)!r} != "
+        f"py {getattr(reference_report, name)!r}"
+        for name in (item.name for item in fields(SanitizationReport))
+        if getattr(fused_report, name) != getattr(reference_report, name)
+    ]
+    if len(fused) != len(reference):
+        diffs.append(f"survivors: fused kept {len(fused)} != py kept {len(reference)}")
+    for position, (ours, theirs) in enumerate(zip(fused, reference)):
+        diff = _survivor_diff(ours, theirs)
+        if diff is not None:
+            diffs.append(f"survivor {position} (probe {theirs.probe_id}): {diff}")
+    return diffs
+
+
+def _survivor_diff(fused, reference) -> Optional[str]:
+    """The first field or run column in which two survivors differ."""
+    from repro.core.analysis_np import columns_from_runs
+
+    for name in ("probe_id", "asn", "dual_stack"):
+        ours, theirs = getattr(fused, name), getattr(reference, name)
+        if ours != theirs:
+            return f"{name}: fused {ours!r} != py {theirs!r}"
+    for name in ("v4_runs", "v6_runs"):
+        ours, theirs = getattr(fused, name), getattr(reference, name)
+        if len(ours) != len(theirs):
+            return f"{name}: fused {len(ours)} runs != py {len(theirs)}"
+        packed = columns_from_runs([ours]), columns_from_runs([theirs])
+        for column in ("value_hi", "value_lo", "first", "last", "observed", "max_gap"):
+            if not np.array_equal(*(getattr(cols, column) for cols in packed)):
+                return f"{name}.{column} differs"
+        if ours != theirs:
+            return f"{name}: run probe ids or families differ"
+    return None
 
 
 def analysis_engine_diffs(probes: Sequence, table=None, triples=None) -> List[str]:
@@ -677,6 +731,7 @@ __all__ = [
     "atlas_scenario_diffs",
     "cdn_scenario_diffs",
     "fused_engine_diffs",
+    "sanitize_diffs",
     "serve_diffs",
     "store_diffs",
     "streaming_replay_diffs",

@@ -1,9 +1,10 @@
 """Collection fast path and scenario column memoization.
 
 The Atlas platform can pack a probe's interval timeline straight into
-run arrays (the ``fused`` engine's collection path) instead of
-materializing per-hour echo records; both paths must produce
-bit-identical ``ProbeData``.  The scenario object memoizes per-AS
+run arrays (the ``fused`` engine's collection path, whose ``ProbeData``
+holds :class:`~repro.atlas.echo.RunSeries`) instead of materializing
+per-hour echo records; both paths must produce equal ``ProbeData`` and
+bit-identical column packs.  The scenario object memoizes per-AS
 ``ProbeColumns`` packs, so every table/figure reuses one pack — the
 packs do not depend on the engine, and a replaced probe list must never
 be served stale columns.
@@ -52,24 +53,29 @@ def test_collection_fast_path_privacy_iid(scenario):
 
 
 def test_run_columns_matches_columns_from_runs(scenario):
+    from repro.atlas.echo import RunSeries
     from repro.core.analysis_np import columns_from_runs
     from repro.ip.addr import IPv4Address, IPv6Address
 
     platform = scenario.platform
     specs = _specs(scenario)
-    probes = [platform.probe_data(spec, engine="py") for spec in specs]
+    fused = [platform.probe_data(spec, engine="fused") for spec in specs]
+    reference = [platform.probe_data(spec, engine="py") for spec in specs]
     for family, value_type in ((4, IPv4Address), (6, IPv6Address)):
-        direct = platform.run_columns(specs, family)
-        reference = columns_from_runs(
-            [probe.v4_runs if family == 4 else probe.v6_runs for probe in probes],
-            value_type=value_type,
-        )
+        def runs(probe):
+            return probe.v4_runs if family == 4 else probe.v6_runs
+
+        assert all(isinstance(runs(probe), RunSeries) for probe in fused)
+        assert all(isinstance(runs(probe), list) for probe in reference)
+        direct = columns_from_runs([runs(p) for p in fused], value_type=value_type)
+        packed = columns_from_runs([runs(p) for p in reference], value_type=value_type)
         for field in (
             "offsets", "value_hi", "value_lo", "first", "last", "observed", "max_gap"
         ):
             assert np.array_equal(
-                getattr(direct, field), getattr(reference, field)
-            ), f"run_columns field {field} diverges for family {family}"
+                getattr(direct, field), getattr(packed, field)
+            ), f"column {field} diverges for family {family}"
+            assert getattr(direct, field).dtype == getattr(packed, field).dtype
 
 
 def test_engine_flip_never_serves_stale_columns(scenario, monkeypatch):
@@ -101,3 +107,52 @@ def test_per_asn_columns_cover_asn_probes(scenario):
         columns = scenario.analysis_columns(isp.asn)
         assert columns.n_probes == len(scenario.probes_in(isp.asn))
     scenario.invalidate_analysis_columns()
+
+
+SMALL = dict(probes_per_as=4, years=0.3)
+
+
+def _run_series_only(scenario):
+    from repro.atlas.echo import RunSeries
+
+    return all(
+        isinstance(runs, RunSeries)
+        for probe in list(scenario.raw_probes) + list(scenario.probes)
+        for runs in (probe.v4_runs, probe.v6_runs)
+    )
+
+
+def test_fused_and_py_builds_agree(monkeypatch):
+    from repro.perf.verify import atlas_scenario_diffs
+
+    monkeypatch.setenv(ENGINE_ENV, "py")
+    reference = build_atlas_scenario(seed=7, workers=1, cache=False, **SMALL)
+    monkeypatch.setenv(ENGINE_ENV, "fused")
+    fused = build_atlas_scenario(seed=7, workers=1, cache=False, **SMALL)
+    assert _run_series_only(fused)
+    assert all(isinstance(probe.v4_runs, list) for probe in reference.probes)
+    assert atlas_scenario_diffs(fused, reference) == []
+
+
+def test_cached_scenario_round_trips_with_columnar_runs(tmp_path, monkeypatch):
+    from repro.perf.cache import CACHE_DIR_ENV
+    from repro.perf.verify import atlas_scenario_diffs, fused_engine_diffs
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    cold = build_atlas_scenario(seed=5, workers=1, cache=True, **SMALL)
+    warm = build_atlas_scenario(seed=5, workers=1, cache=True, **SMALL)
+    assert warm is not cold and _run_series_only(warm)
+    assert atlas_scenario_diffs(cold, warm) == []
+    assert fused_engine_diffs(warm, min_probes=2) == []
+
+
+def test_serve_key_unchanged_after_iterating_runs():
+    from repro.serve.registry import scenario_artifact_key
+
+    built = build_atlas_scenario(seed=3, workers=1, cache=False, **SMALL)
+    key = scenario_artifact_key(built)
+    for probe in built.probes:
+        assert sum(1 for _ in probe.v4_runs) == len(probe.v4_runs)
+        assert sum(1 for _ in probe.v6_runs) == len(probe.v6_runs)
+    assert scenario_artifact_key(built) == key
